@@ -38,15 +38,14 @@ from .gspace import (
     GSplineSpace,
     MDSEntry,
     complete_coefficients,
-    dimension,
     dimension_formula,
+    dimension_terms,
     domain_points,
     dual_basis_net,
     eval_spline,
     eval_spline_derivative,
     eval_spline_grid,
     extract_mds_values,
-    minimal_determining_set,
     propagate_edge,
     propagate_vertex,
 )
@@ -66,9 +65,6 @@ from .tmesh import (
     MeshDocument,
     MeshStats,
     TMesh,
-    classify_vertices,
-    composite_edges,
-    detect_cycles,
     document_to_json,
     load_document,
     load_mesh,

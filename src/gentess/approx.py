@@ -17,7 +17,6 @@ every member of the spline space.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -266,7 +265,7 @@ def derivative_table(f, n1: int, n2: int, s0: float, t0: float) -> np.ndarray:
 
 
 def hermite_local(space_s: SectionSpace, space_t: SectionSpace, f,
-                  s0: float, t0: float, dense: bool = False) -> HermiteInterpolant:
+                  s0: float, t0: float) -> HermiteInterpolant:
     """Local interpolant matching all mixed derivatives of f at (s0, t0).
 
     The anchor must lie strictly inside the cell; both section spaces must
@@ -281,8 +280,7 @@ def hermite_local(space_s: SectionSpace, space_t: SectionSpace, f,
             raise ValidationError(
                 f"anchor coordinate {x} not strictly inside [{sp.a}, {sp.b}]")
     rhs = derivative_table(f, space_s.n, space_t.n, s0, t0)
-    system = HermiteSystem(space_s, space_t, s0, t0, rhs)
-    return system.solve_dense() if dense else system.solve_blockwise()
+    return HermiteSystem(space_s, space_t, s0, t0, rhs).solve_blockwise()
 
 
 class UnivariateHermite:
@@ -353,7 +351,7 @@ class SplineOracle:
                                       float(s), float(t))
 
 
-def quasi_interpolant(space: GSplineSpace, f, threads: int = 1) -> BCoefficientMap:
+def quasi_interpolant(space: GSplineSpace, f) -> BCoefficientMap:
     """Spline approximation of f: local interpolants feed the determining set.
 
     Each determining-set member is a lattice point of a specific cell; the
@@ -362,23 +360,14 @@ def quasi_interpolant(space: GSplineSpace, f, threads: int = 1) -> BCoefficientM
     member's own cell keeps the extraction free of cross-cell extrapolation,
     so reproduction of space members is exact up to solver roundoff.
     """
-    mesh = space.mesh
-    anchor_cells = sorted({e.point.cell for e in space.mds})
-
-    def build(cell_idx: int):
-        c = mesh.cells[cell_idx]
+    nets = {}
+    for cell_idx in sorted({e.point.cell for e in space.mds}):
+        c = space.mesh.cells[cell_idx]
         s0 = float((c.x0 + c.x1) / 2)
         t0 = float((c.y0 + c.y1) / 2)
         ql = hermite_local(space.basis_s(cell_idx).space,
                            space.basis_t(cell_idx).space, f, s0, t0)
-        return cell_idx, function_bnet(space, cell_idx, ql)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            nets = dict(pool.map(build, anchor_cells))
-    else:
-        nets = dict(map(build, anchor_cells))
-
+        nets[cell_idx] = function_bnet(space, cell_idx, ql)
     values = np.array([nets[e.point.cell][e.point.i, e.point.j]
                        for e in space.mds])
     return complete_coefficients(space, values)
@@ -455,7 +444,7 @@ class ConvergenceReport:
 
 def convergence_study(base_mesh: TMesh, gen_s, n1: int, gen_t, n2: int,
                       smoothness, f, levels: int = 4,
-                      norm: str = "sup", threads: int = 1) -> ConvergenceReport:
+                      norm: str = "sup") -> ConvergenceReport:
     """Quasi-interpolation errors over dyadic refinements of a base mesh."""
     if levels < 3:
         raise ValidationError("need at least three refinement levels")
@@ -463,13 +452,14 @@ def convergence_study(base_mesh: TMesh, gen_s, n1: int, gen_t, n2: int,
         raise ValidationError("norm must be 'sup' or 'l2'")
     report = ConvergenceReport(k=min(n1 - 1, n2 - 1), norm=norm)
     mesh = base_mesh
-    for _ in range(levels):
+    for level in range(levels):
+        if level:
+            mesh = refine(mesh)
         space = GSplineSpace(mesh, gen_s, n1, gen_t, n2, smoothness)
-        coeffs = quasi_interpolant(space, f, threads=threads)
+        coeffs = quasi_interpolant(space, f)
         err = sup_error(space, coeffs, f) if norm == "sup" else l2_error(space, coeffs, f)
         report.mesh_sizes.append(space.mesh.max_diameter())
         report.errors.append(err)
-        mesh = refine(mesh)
     return report
 
 

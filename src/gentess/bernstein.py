@@ -292,12 +292,13 @@ _basis_cache: dict[tuple, BernsteinBasis] = {}
 
 
 def basis_for(gen: GeneratorPair, n: int, a, b) -> BernsteinBasis:
-    """Cached basis lookup keyed by exact (generator, n, a, b) parameters.
+    """Cached basis lookup keyed by exact (generator, n, a, b) parameters and
+    the tolerance the validity flags were decided at.
 
     Meshes reuse bases across congruent cells; a and b may be any exact
     numeric type (Fraction endpoints from a mesh hash distinctly from floats).
     """
-    key = (gen.cache_key(), n, a, b)
+    key = (gen.cache_key(), n, a, b, config.rel_tol())
     with _cache_lock:
         hit = _basis_cache.get(key)
     if hit is not None:

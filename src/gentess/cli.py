@@ -1,8 +1,8 @@
 """Command-line interface wiring the package together.
 
 Subcommands: ``mesh check``, ``basis``, ``dim``, ``basis-fn``, ``verify``,
-``interp``, ``convergence``.  Outputs are deterministic given the arguments
-and seed; tabular results go to CSV (default) or JSON.  Exit codes: 0 success,
+``interp``, ``convergence``.  Outputs are deterministic given the arguments;
+tabular results go to CSV (default) or JSON.  Exit codes: 0 success,
 1 validation failure, 2 numerical failure.
 """
 
@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,35 +22,11 @@ from .approx import convergence_study, quasi_interpolant, sup_error
 from .bernstein import basis_for
 from .errors import NumericalError, ValidationError
 from .generators import GeneratorPair, generator_from_json, generator_kinds
-from .gspace import GSplineSpace, dimension_formula, dual_basis_net, eval_spline_grid
+from .gspace import (GSplineSpace, dimension_formula, dimension_terms, dual_basis_net,
+                     eval_spline_grid)
 from .oracle import brute_force_dimension
 from .testfunctions import get_test_function, test_function_names
 from .tmesh import load_document, mesh_stats, tensor_mesh
-
-
-@dataclass
-class RunConfig:
-    """Parsed and validated invocation of one subcommand."""
-
-    command: str
-    mesh_path: str | None = None
-    generator_s: GeneratorPair | None = None
-    generator_t: GeneratorPair | None = None
-    orders: tuple[int, int] | None = None
-    smoothness: tuple[int, int] | None = None
-    out_format: str = "csv"
-    output: str | None = None
-    samples: int = 129
-    grid: tuple[int, int] = (20, 20)
-    xi: int = 0
-    deriv: int = 0
-    levels: int = 4
-    function: str | None = None
-    norm: str = "sup"
-    domain: tuple[float, float, float, float] = (0.0, 1.0, 0.0, 1.0)
-    base_divisions: int = 2
-    seed: int = 0
-    threads: int = 1
 
 
 def _parse_generator(text: str) -> GeneratorPair:
@@ -64,17 +39,35 @@ def _parse_generator(text: str) -> GeneratorPair:
             f"known kinds: {', '.join(generator_kinds())} ({exc})") from exc
 
 
-def _space_from_document(cfg: RunConfig) -> GSplineSpace:
-    doc = load_document(cfg.mesh_path)
-    gen_s = cfg.generator_s or (doc.section_s[0] if doc.section_s else None)
-    gen_t = cfg.generator_t or (doc.section_t[0] if doc.section_t else None)
-    if cfg.orders:
-        n1, n2 = cfg.orders
+def _parse_grid(text: str) -> tuple[int, int]:
+    try:
+        gx, gy = (int(v) for v in text.lower().split("x"))
+    except ValueError as exc:
+        raise ValidationError("--grid must look like 20x20") from exc
+    return gx, gy
+
+
+def _check_smoothness(args: argparse.Namespace) -> None:
+    smoothness = getattr(args, "smoothness", None)
+    orders = getattr(args, "orders", None)
+    if smoothness and orders:
+        (r1, r2), (n1, n2) = smoothness, orders
+        if not (0 <= r1 < n1 - 1 and 0 <= r2 < n2 - 1):
+            raise ValidationError("smoothness must satisfy 0 <= r < n-1")
+
+
+def _space_from_document(args: argparse.Namespace) -> GSplineSpace:
+    doc = load_document(args.mesh)
+    gen_s = args.generator or (doc.section_s[0] if doc.section_s else None)
+    gen_t = (args.generator_t or args.generator
+             or (doc.section_t[0] if doc.section_t else None))
+    if args.orders:
+        n1, n2 = args.orders
     elif doc.section_s and doc.section_t:
         n1, n2 = doc.section_s[1], doc.section_t[1]
     else:
         raise ValidationError("orders missing: provide --orders or file sections")
-    smoothness = cfg.smoothness or doc.smoothness
+    smoothness = args.smoothness or doc.smoothness
     if smoothness is None:
         raise ValidationError(
             "smoothness missing: provide --smoothness or a file entry")
@@ -84,9 +77,9 @@ def _space_from_document(cfg: RunConfig) -> GSplineSpace:
     return GSplineSpace(doc.mesh, gen_s, n1, gen_t, n2, smoothness)
 
 
-def _emit(cfg: RunConfig, columns: list[str], rows: list[dict],
+def _emit(args: argparse.Namespace, columns: list[str], rows: list[dict],
           summary: dict | None = None) -> None:
-    if cfg.out_format == "json":
+    if args.format == "json":
         payload = {"rows": rows}
         if summary:
             payload["summary"] = summary
@@ -100,8 +93,8 @@ def _emit(cfg: RunConfig, columns: list[str], rows: list[dict],
         text = buf.getvalue()
         if summary:
             text += "".join(f"# {k} = {v}\n" for k, v in summary.items())
-    if cfg.output:
-        Path(cfg.output).write_text(text)
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -109,8 +102,8 @@ def _emit(cfg: RunConfig, columns: list[str], rows: list[dict],
 # -- subcommands --------------------------------------------------------------
 
 
-def _cmd_mesh_check(cfg: RunConfig) -> int:
-    doc = load_document(cfg.mesh_path)
+def _cmd_mesh_check(args: argparse.Namespace) -> int:
+    doc = load_document(args.mesh)
     mesh = doc.mesh
     tags = sorted(mesh.vertex_tags.values())
     print(f"cells: {len(mesh.cells)}")
@@ -133,51 +126,43 @@ def _cmd_mesh_check(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_basis(cfg: RunConfig) -> int:
-    if cfg.generator_s is None or cfg.orders is None:
+def _cmd_basis(args: argparse.Namespace) -> int:
+    if args.generator is None or args.orders is None:
         raise ValidationError("basis dump needs --generator and --orders N")
-    a, b, *_ = cfg.domain
-    basis = basis_for(cfg.generator_s, cfg.orders[0], a, b)
-    xs = np.linspace(a, b, cfg.samples)
-    vals = basis.eval_all_derivative(cfg.deriv, xs)
+    a, b = args.interval
+    basis = basis_for(args.generator, args.orders[0], a, b)
+    xs = np.linspace(a, b, args.samples)
+    vals = basis.eval_all_derivative(args.deriv, xs)
     columns = ["s"] + [f"B_{i}" for i in range(basis.n)]
     rows = [{"s": x, **{f"B_{i}": vals[i, m] for i in range(basis.n)}}
             for m, x in enumerate(xs)]
-    _emit(cfg, columns, rows)
+    _emit(args, columns, rows)
     return 0
 
 
-def _cmd_dim(cfg: RunConfig) -> int:
-    space = _space_from_document(cfg)
-    stats = mesh_stats(space.mesh)
-    n1, n2, r1, r2 = space.n1, space.n2, space.r1, space.r2
-    terms = {
-        "vertex_term": (r1 + 1) * (r2 + 1) * stats.non_t_vertices,
-        "hor_edge_term": (r2 + 1) * (n1 - 2 * r1 - 2) * stats.hor_edges,
-        "ver_edge_term": (r1 + 1) * (n2 - 2 * r2 - 2) * stats.ver_edges,
-        "cell_term": (n1 - 2 * r1 - 2) * (n2 - 2 * r2 - 2) * stats.cells,
-    }
+def _cmd_dim(args: argparse.Namespace) -> int:
+    terms = dimension_terms(_space_from_document(args))
     for name, value in terms.items():
         print(f"{name}: {value}")
-    print(f"dim = {dimension_formula(space)}")
+    print(f"dim = {sum(terms.values())}")
     return 0
 
 
-def _cmd_basis_fn(cfg: RunConfig) -> int:
-    space = _space_from_document(cfg)
-    net = dual_basis_net(space, cfg.xi)
+def _cmd_basis_fn(args: argparse.Namespace) -> int:
+    space = _space_from_document(args)
+    net = dual_basis_net(space, args.xi)
     x0, x1, y0, y1 = space.mesh.domain_bounds
-    xs = np.linspace(float(x0), float(x1), cfg.grid[0])
-    ys = np.linspace(float(y0), float(y1), cfg.grid[1])
+    xs = np.linspace(float(x0), float(x1), args.grid[0])
+    ys = np.linspace(float(y0), float(y1), args.grid[1])
     vals = eval_spline_grid(space, net, xs, ys)
     rows = [{"x": x, "y": y, "value": vals[i, j]}
             for i, x in enumerate(xs) for j, y in enumerate(ys)]
-    _emit(cfg, ["x", "y", "value"], rows)
+    _emit(args, ["x", "y", "value"], rows)
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    space = _space_from_document(cfg)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    space = _space_from_document(args)
     formula = dimension_formula(space)
     mds = space.dim
     nullity = brute_force_dimension(space)
@@ -189,43 +174,43 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _cmd_interp(cfg: RunConfig) -> int:
-    if not cfg.function:
+def _test_function(args: argparse.Namespace):
+    if not args.function:
         raise ValidationError(
             f"--f is required; known functions: {', '.join(test_function_names())}")
-    space = _space_from_document(cfg)
-    f = get_test_function(cfg.function)
-    coeffs = quasi_interpolant(space, f, threads=cfg.threads)
+    return get_test_function(args.function)
+
+
+def _cmd_interp(args: argparse.Namespace) -> int:
+    f = _test_function(args)
+    space = _space_from_document(args)
+    coeffs = quasi_interpolant(space, f)
     err = sup_error(space, coeffs, f)
     rows = [{"cell": c.index, "i": i, "j": j,
              "coefficient": coeffs.values[c.index][i, j]}
             for c in space.mesh.cells
             for i in range(space.n1) for j in range(space.n2)]
-    _emit(cfg, ["cell", "i", "j", "coefficient"], rows,
+    _emit(args, ["cell", "i", "j", "coefficient"], rows,
           summary={"sup_error": err, "dim": space.dim})
     return 0
 
 
-def _cmd_convergence(cfg: RunConfig) -> int:
-    if not cfg.function:
-        raise ValidationError(
-            f"--f is required; known functions: {', '.join(test_function_names())}")
-    f = get_test_function(cfg.function)
-    gen_s = cfg.generator_s or generator_from_json(
+def _cmd_convergence(args: argparse.Namespace) -> int:
+    f = _test_function(args)
+    gen_s = args.generator or generator_from_json(
         {"kind": "two_exponentials", "params": {"l1": 1.0, "l2": -1.0}})
-    gen_t = cfg.generator_t or gen_s
-    orders = cfg.orders or (4, 4)
-    smoothness = cfg.smoothness or (1, 1)
-    if cfg.mesh_path:
-        base = load_document(cfg.mesh_path).mesh
+    gen_t = args.generator_t or gen_s
+    orders = args.orders or (4, 4)
+    smoothness = args.smoothness or (1, 1)
+    if args.mesh:
+        base = load_document(args.mesh).mesh
     else:
-        x0, x1, y0, y1 = cfg.domain
-        div = cfg.base_divisions
+        x0, x1, y0, y1 = args.domain
+        div = args.base_divisions
         base = tensor_mesh(np.linspace(x0, x1, div + 1), np.linspace(y0, y1, div + 1))
     report = convergence_study(base, gen_s, orders[0], gen_t, orders[1],
-                               smoothness, f, levels=cfg.levels, norm=cfg.norm,
-                               threads=cfg.threads)
-    _emit(cfg, ["level", "H", "error", "order"], report.rows(),
+                               smoothness, f, levels=args.levels, norm=args.norm)
+    _emit(args, ["level", "H", "error", "order"], report.rows(),
           summary={"k": report.k, "expected_order": report.k + 1})
     return 0
 
@@ -234,6 +219,8 @@ def _cmd_convergence(cfg: RunConfig) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # the type functions raise ValidationError, which argparse does not catch:
+    # main reports it as a validation failure (exit 1), not a usage error
     parser = argparse.ArgumentParser(
         prog="gentess",
         description="Generalized spline spaces over T-meshes: mesh checking, "
@@ -247,18 +234,16 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, mesh=True):
         if mesh:
             p.add_argument("mesh", help="mesh document (JSON)")
-        p.add_argument("--generator", type=str, default=None,
+        p.add_argument("--generator", type=_parse_generator, default=None,
                        help="generator pair as JSON (s direction; used for "
                             "both unless --generator-t is given)")
-        p.add_argument("--generator-t", type=str, default=None)
+        p.add_argument("--generator-t", type=_parse_generator, default=None)
         p.add_argument("--orders", type=int, nargs=2, metavar=("N1", "N2"),
                        default=None)
         p.add_argument("--smoothness", type=int, nargs=2, metavar=("R1", "R2"),
                        default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("-o", "--output", default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
 
     mesh_p = sub.add_parser("mesh", help="mesh inspection")
     mesh_sub = mesh_p.add_subparsers(dest="mesh_command", required=True)
@@ -279,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(fn_p)
     fn_p.add_argument("--xi", type=int, default=0,
                       help="index into the determining set")
-    fn_p.add_argument("--grid", type=str, default="20x20")
+    fn_p.add_argument("--grid", type=_parse_grid, default="20x20")
 
     verify_p = sub.add_parser("verify", help="dimension formula vs oracle")
     common(verify_p)
@@ -302,52 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _to_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.mesh_path = getattr(args, "mesh", None)
-    if getattr(args, "generator", None):
-        cfg.generator_s = _parse_generator(args.generator)
-        cfg.generator_t = cfg.generator_s
-    if getattr(args, "generator_t", None):
-        cfg.generator_t = _parse_generator(args.generator_t)
-    orders = getattr(args, "orders", None)
-    if orders:
-        cfg.orders = (orders[0], orders[1])
-    smoothness = getattr(args, "smoothness", None)
-    if smoothness:
-        r1, r2 = smoothness
-        cfg.smoothness = (r1, r2)
-        if cfg.orders:
-            n1, n2 = cfg.orders
-            if not (0 <= r1 < n1 - 1 and 0 <= r2 < n2 - 1):
-                raise ValidationError("smoothness must satisfy 0 <= r < n-1")
-    cfg.out_format = getattr(args, "format", "csv")
-    cfg.output = getattr(args, "output", None)
-    cfg.seed = getattr(args, "seed", 0)
-    cfg.threads = max(1, getattr(args, "threads", 1))
-    cfg.samples = getattr(args, "samples", cfg.samples)
-    cfg.deriv = getattr(args, "deriv", 0)
-    cfg.xi = getattr(args, "xi", 0)
-    cfg.levels = getattr(args, "levels", 4)
-    cfg.function = getattr(args, "function", None)
-    cfg.norm = getattr(args, "norm", "sup")
-    cfg.base_divisions = getattr(args, "base_divisions", 2)
-    interval = getattr(args, "interval", None)
-    if interval:
-        cfg.domain = (interval[0], interval[1], 0.0, 1.0)
-    domain = getattr(args, "domain", None)
-    if domain and args.command == "convergence":
-        cfg.domain = tuple(domain)
-    grid = getattr(args, "grid", None)
-    if isinstance(grid, str):
-        try:
-            gx, gy = (int(v) for v in grid.lower().split("x"))
-        except ValueError as exc:
-            raise ValidationError("--grid must look like 20x20") from exc
-        cfg.grid = (gx, gy)
-    return cfg
-
-
 _DISPATCH = {
     "mesh": _cmd_mesh_check,
     "basis": _cmd_basis,
@@ -359,29 +298,21 @@ _DISPATCH = {
 }
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one validated configuration; returns the process exit status."""
+def main(argv=None) -> int:
+    """Run one subcommand; returns the process exit status."""
     try:
-        return _DISPATCH[cfg.command](cfg)
+        args = _build_parser().parse_args(argv)
+        if args.tol is not None:
+            config.set_rel_tol(args.tol)
+        config.rel_tol()  # a malformed GENTESS_TOL fails here, before any work
+        _check_smoothness(args)
+        return _DISPATCH[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-
-
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        if args.tol is not None:
-            config.set_rel_tol(args.tol)
-        cfg = _to_config(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return run(cfg)
 
 
 if __name__ == "__main__":

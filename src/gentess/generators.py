@@ -39,9 +39,6 @@ class GeneratorPair(ABC):
 
     kind: str = ""
 
-    #: True for the families whose derivatives stay inside span(u, v).
-    closed_under_differentiation: bool = False
-
     @abstractmethod
     def u_deriv(self, order: int, s, n: int):
         """order-th derivative of u at s (scalar or ndarray)."""
@@ -60,6 +57,14 @@ class GeneratorPair(ABC):
     @abstractmethod
     def params(self) -> dict:
         """JSON-serializable parameters of the pair."""
+
+    def analytic_flags(self, n: int, a: float, b: float) -> tuple[bool, bool] | None:
+        """Closed-form (haar_ok, wronskian_ok) of the section space on [a, b].
+
+        None when the family has no closed form; the flags are then decided
+        by grid scans.
+        """
+        return None
 
     def cache_key(self) -> tuple:
         return (self.kind, tuple(sorted(self.params().items())))
@@ -86,7 +91,6 @@ class TwoExponentials(GeneratorPair):
     """
 
     kind = "two_exponentials"
-    closed_under_differentiation = True
 
     def __init__(self, l1: float, l2: float):
         if not (math.isfinite(l1) and math.isfinite(l2)):
@@ -107,13 +111,15 @@ class TwoExponentials(GeneratorPair):
     def params(self):
         return {"l1": self.l1, "l2": self.l2}
 
+    def analytic_flags(self, n, a, b):
+        return True, True
+
 
 @_register
 class ExpTimesLinear(GeneratorPair):
     """u = exp(l s), v = s exp(l s): the defective-eigenvalue family."""
 
     kind = "exp_times_linear"
-    closed_under_differentiation = True
 
     def __init__(self, l: float):
         if not math.isfinite(l):
@@ -133,6 +139,9 @@ class ExpTimesLinear(GeneratorPair):
     def params(self):
         return {"l": self.l}
 
+    def analytic_flags(self, n, a, b):
+        return True, True
+
 
 @_register
 class ExpTrig(GeneratorPair):
@@ -143,7 +152,6 @@ class ExpTrig(GeneratorPair):
     """
 
     kind = "exp_trig"
-    closed_under_differentiation = True
 
     def __init__(self, alpha: float, beta: float):
         if not (math.isfinite(alpha) and math.isfinite(beta)):
@@ -166,6 +174,11 @@ class ExpTrig(GeneratorPair):
 
     def params(self):
         return {"alpha": self.alpha, "beta": self.beta}
+
+    def analytic_flags(self, n, a, b):
+        # top derivatives span exp(alpha s) times the rotations of sin(beta s),
+        # whose zeros sit pi / |beta| apart
+        return bool(abs(self.beta) * (b - a) < math.pi), True
 
 
 @_register
@@ -212,7 +225,6 @@ class PolynomialDegenerate(GeneratorPair):
     """
 
     kind = "polynomial_degenerate"
-    closed_under_differentiation = False
 
     def u_deriv(self, order, s, n):
         s = np.asarray(s, dtype=float)
@@ -230,6 +242,11 @@ class PolynomialDegenerate(GeneratorPair):
 
     def params(self):
         return {}
+
+    def analytic_flags(self, n, a, b):
+        # the top derivative span is the affine functions (at most one zero),
+        # and the pair determinant is the constant (n-2)! (n-1)!
+        return True, True
 
 
 def generator_from_json(obj: dict) -> GeneratorPair:

@@ -88,13 +88,6 @@ class BCoefficientMap:
             raise GentessError(f"cell {cell} has undetermined coefficients")
         return self.values[cell]
 
-    def copy(self) -> "BCoefficientMap":
-        dup = BCoefficientMap.__new__(BCoefficientMap)
-        dup.space = self.space
-        dup.values = [v.copy() for v in self.values]
-        dup.known = [k.copy() for k in self.known]
-        return dup
-
     def fill_block(self, cell: int, rows: np.ndarray, cols: np.ndarray,
                    block: np.ndarray) -> None:
         """Write a solved block, skipping slots that are already determined."""
@@ -247,25 +240,25 @@ def domain_points(space: GSplineSpace) -> list[DomainPoint]:
             for i in range(space.n1) for j in range(space.n2)]
 
 
-def dimension_formula(space: GSplineSpace) -> int:
-    """Dimension by the vertex/edge/cell counting formula."""
+def dimension_terms(space: GSplineSpace) -> dict[str, int]:
+    """The vertex, horizontal-edge, vertical-edge and cell terms of the
+    dimension formula."""
     mesh = space.mesh
     n1, n2, r1, r2 = space.n1, space.n2, space.r1, space.r2
     jnt = len(mesh.vertices) - len(mesh.t_junctions)
     ehor = sum(1 for e in mesh.composite_edges if e.axis == 0)
     ever = len(mesh.composite_edges) - ehor
-    return ((r1 + 1) * (r2 + 1) * jnt
-            + (r2 + 1) * (n1 - 2 * r1 - 2) * ehor
-            + (r1 + 1) * (n2 - 2 * r2 - 2) * ever
-            + (n1 - 2 * r1 - 2) * (n2 - 2 * r2 - 2) * len(mesh.cells))
+    return {
+        "vertex_term": (r1 + 1) * (r2 + 1) * jnt,
+        "hor_edge_term": (r2 + 1) * (n1 - 2 * r1 - 2) * ehor,
+        "ver_edge_term": (r1 + 1) * (n2 - 2 * r2 - 2) * ever,
+        "cell_term": (n1 - 2 * r1 - 2) * (n2 - 2 * r2 - 2) * len(mesh.cells),
+    }
 
 
-def dimension(space: GSplineSpace) -> int:
-    return space.dim
-
-
-def minimal_determining_set(space: GSplineSpace) -> list[MDSEntry]:
-    return list(space.mds)
+def dimension_formula(space: GSplineSpace) -> int:
+    """Dimension by the vertex/edge/cell counting formula."""
+    return sum(dimension_terms(space).values())
 
 
 def _anchor_cell_for_vertex(space: GSplineSpace, w: Point) -> int:

@@ -9,8 +9,9 @@ A section space is valid for the downstream construction when three flags hold:
 * ``wronskian_ok`` - the 2x2 determinant pairing the two top derivative orders
                     of (u, v) never vanishes inside (a, b).
 
-For the three families closed under differentiation the last two flags have
-closed-form answers; for power pairs they are decided by grid scans.
+Generator families with closed-form answers for the last two flags supply
+them (``GeneratorPair.analytic_flags``); for the others they are decided by
+grid scans.
 Construction always succeeds and records the flags; callers decide what to
 require.
 """
@@ -25,14 +26,7 @@ from numpy.polynomial import Chebyshev
 
 from . import config
 from .errors import ValidationError
-from .generators import (
-    ExpTimesLinear,
-    ExpTrig,
-    GeneratorPair,
-    PolynomialDegenerate,
-    PowerPair,
-    TwoExponentials,
-)
+from .generators import GeneratorPair
 from .util import cheb_points, count_zero_sites
 
 _THETA_COUNT = 64
@@ -86,8 +80,7 @@ def make_section_space(gen: GeneratorPair, n: int, a: float, b: float,
         max_order = max(16, 2 * n)
 
     dim_ok = _dimension_ok(gen, n, a, b)
-    haar_ok, method = _haar_flag(gen, n, a, b)
-    wronskian_ok, _ = _wronskian_flag(gen, n, a, b)
+    haar_ok, wronskian_ok, method = _zero_pattern_flags(gen, n, a, b)
     return SectionSpace(gen=gen, n=n, a=a, b=b, dim_ok=dim_ok, haar_ok=haar_ok,
                         wronskian_ok=wronskian_ok, check_method=method,
                         max_order=max_order)
@@ -107,14 +100,29 @@ def eval_generator(space: SectionSpace, which: str, order: int, s):
 
 def check_haar_condition(space: SectionSpace, method: str = "auto") -> bool:
     """True when no nonzero element of the top-derivative span has two zeros in [a, b]."""
-    flag, _ = _haar_flag(space.gen, space.n, space.a, space.b, method)
-    return flag
+    return _zero_pattern_flags(space.gen, space.n, space.a, space.b, method)[0]
 
 
 def check_wronskian_condition(space: SectionSpace, method: str = "auto") -> bool:
     """True when the top-derivative pair determinant never vanishes inside (a, b)."""
-    flag, _ = _wronskian_flag(space.gen, space.n, space.a, space.b, method)
-    return flag
+    return _zero_pattern_flags(space.gen, space.n, space.a, space.b, method)[1]
+
+
+def _zero_pattern_flags(gen: GeneratorPair, n: int, a: float, b: float,
+                        method: str = "auto") -> tuple[bool, bool, str]:
+    """(haar_ok, wronskian_ok, method): the family's closed form unless
+    ``method`` is 'numeric', grid scans otherwise; 'analytic' insists on the
+    closed form."""
+    if method not in ("auto", "analytic", "numeric"):
+        raise ValidationError(f"unknown method {method!r}")
+    if method != "numeric":
+        closed = gen.analytic_flags(n, a, b)
+        if closed is not None:
+            return (*closed, "analytic")
+        if method == "analytic":
+            raise ValidationError(
+                f"no closed-form check for generator kind {gen.kind!r}")
+    return _haar_numeric(gen, n, a, b), _wronskian_numeric(gen, n, a, b), "numeric"
 
 
 def _dimension_ok(gen: GeneratorPair, n: int, a: float, b: float) -> bool:
@@ -138,24 +146,6 @@ def _dimension_ok(gen: GeneratorPair, n: int, a: float, b: float) -> bool:
     return bool(sv[-1] > config.rel_tol() * sv[0])
 
 
-def _haar_flag(gen: GeneratorPair, n: int, a: float, b: float,
-               method: str = "auto") -> tuple[bool, str]:
-    if method not in ("auto", "analytic", "numeric"):
-        raise ValidationError(f"unknown method {method!r}")
-    if method != "numeric":
-        if isinstance(gen, (TwoExponentials, ExpTimesLinear)):
-            return True, "analytic"
-        if isinstance(gen, ExpTrig):
-            return bool(abs(gen.beta) * (b - a) < np.pi), "analytic"
-        if isinstance(gen, PolynomialDegenerate):
-            # top derivative span is the affine functions: at most one zero
-            return True, "analytic"
-        if method == "analytic":
-            raise ValidationError(
-                f"no closed-form check for generator kind {gen.kind!r}")
-    return _haar_numeric(gen, n, a, b), "numeric"
-
-
 def _haar_numeric(gen: GeneratorPair, n: int, a: float, b: float) -> bool:
     """Zero-count scan over a one-parameter family of derivative combinations."""
     s = np.linspace(a, b, _SCAN_POINTS)
@@ -176,22 +166,6 @@ def _haar_numeric(gen: GeneratorPair, n: int, a: float, b: float) -> bool:
         if count_zero_sites(psi, config.rel_tol() * scale) >= 2:
             return False
     return True
-
-
-def _wronskian_flag(gen: GeneratorPair, n: int, a: float, b: float,
-                    method: str = "auto") -> tuple[bool, str]:
-    if method not in ("auto", "analytic", "numeric"):
-        raise ValidationError(f"unknown method {method!r}")
-    if method != "numeric":
-        if isinstance(gen, (TwoExponentials, ExpTimesLinear, ExpTrig)):
-            return True, "analytic"
-        if isinstance(gen, PolynomialDegenerate):
-            # determinant is the constant (n-2)! (n-1)!
-            return True, "analytic"
-        if method == "analytic":
-            raise ValidationError(
-                f"no closed-form check for generator kind {gen.kind!r}")
-    return _wronskian_numeric(gen, n, a, b), "numeric"
 
 
 def _wronskian_numeric(gen: GeneratorPair, n: int, a: float, b: float) -> bool:

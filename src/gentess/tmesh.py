@@ -16,6 +16,7 @@ collinear segments whose interior vertices are all T-junctions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -43,7 +44,7 @@ def to_fraction(value) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"cannot parse coordinate {value!r}") from exc
-    if isinstance(value, float):
+    if isinstance(value, float) and math.isfinite(value):
         return Fraction(str(value))
     raise ValidationError(f"cannot parse coordinate {value!r}")
 
@@ -119,10 +120,6 @@ class CompositeEdge:
         return self.hi - self.lo
 
     @property
-    def horizontal(self) -> bool:
-        return self.axis == 0
-
-    @property
     def endpoints(self) -> tuple[Point, Point]:
         if self.axis == 0:
             return ((self.lo, self.coord), (self.hi, self.coord))
@@ -175,7 +172,6 @@ class TMesh:
         self._build_edges()
         self._validate_connected()
         self._detect_cycles()
-        self.domain_connected = True
 
     # -- validation ----------------------------------------------------------
 
@@ -420,18 +416,6 @@ def _contiguous(quads: set[int]) -> bool:
     return (b - a) % 4 in (1, 3)
 
 
-def classify_vertices(mesh: TMesh) -> dict[Point, str]:
-    return dict(mesh.vertex_tags)
-
-
-def composite_edges(mesh: TMesh) -> list[CompositeEdge]:
-    return list(mesh.composite_edges)
-
-
-def detect_cycles(mesh: TMesh) -> tuple[bool, list[Point] | None]:
-    return mesh.has_cycles, mesh.cycle_witness
-
-
 def mesh_stats(mesh: TMesh) -> MeshStats:
     """Counts and shape statistics; requires a regular, cycle-free mesh."""
     if not mesh.regular:
@@ -510,11 +494,18 @@ class MeshDocument:
     smoothness: tuple[int, int] | None = None
 
 
+def _is_integer(value) -> bool:
+    """Integral JSON number; rejects booleans, strings and null."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+
+
 def _parse_section(obj) -> tuple[GeneratorPair, int]:
     if not isinstance(obj, dict) or "n" not in obj:
         raise ValidationError("section entry must carry 'kind', 'params' and 'n'")
     n = obj["n"]
-    if int(n) != n or n < 3:
+    if not _is_integer(n) or n < 3:
         raise ValidationError(f"section order must be an integer >= 3, got {n}")
     return generator_from_json(obj), int(n)
 
@@ -550,7 +541,7 @@ def load_document(source) -> MeshDocument:
     smooth = data.get("smoothness")
     if smooth is not None:
         if (not isinstance(smooth, (list, tuple)) or len(smooth) != 2
-                or any(int(r) != r or r < 0 for r in smooth)):
+                or any(not _is_integer(r) or r < 0 for r in smooth)):
             raise ValidationError("'smoothness' must be a pair of nonnegative integers")
         doc.smoothness = (int(smooth[0]), int(smooth[1]))
     return doc

@@ -288,16 +288,6 @@ def test_quasi_interpolant_linear(meshes):
             2.0 * qf.values[c.index] - 0.25 * qg.values[c.index], atol=1e-12)
 
 
-def test_threaded_matches_sequential(meshes):
-    space = GSplineSpace(meshes["double_t"], HYPER, 4, HYPER, 4, (1, 1))
-    f = get_test_function("gauss_bump")
-    q1 = quasi_interpolant(space, f, threads=1)
-    q4 = quasi_interpolant(space, f, threads=4)
-    for c in space.mesh.cells:
-        np.testing.assert_allclose(q1.values[c.index], q4.values[c.index],
-                                   atol=0.0)
-
-
 # -- convergence ----------------------------------------------------------------------
 
 

@@ -196,3 +196,18 @@ def test_cache_reuses_exact_keys():
     assert b1 is b2
     b3 = basis_for(TwoExponentials(1, -1), 4, 0.0, 2.0)
     assert b3 is not b1
+
+
+def test_cache_key_includes_tolerance():
+    from gentess import config
+
+    gen = TwoExponentials(1, 1.001)  # nearly dependent: valid at 1e-9 only
+    before = config.rel_tol()
+    try:
+        config.set_rel_tol(1e-9)
+        assert basis_for(gen, 4, 0.0, 1.0).space.dim_ok
+        config.set_rel_tol(1e-2)
+        with pytest.raises(ValidationError):
+            basis_for(gen, 4, 0.0, 1.0)
+    finally:
+        config.set_rel_tol(before)

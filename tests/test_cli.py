@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +8,8 @@ import pytest
 from gentess.cli import main
 
 
-@pytest.fixture()
-def mesh_file(tmp_path):
-    doc = {
+def single_t_document():
+    return {
         "cells": [["0", "2", "0", "1"], ["0", "1", "1", "2"], ["1", "2", "1", "2"]],
         "sections": {
             "s": {"kind": "two_exponentials", "params": {"l1": 1, "l2": -1}, "n": 4},
@@ -17,8 +17,12 @@ def mesh_file(tmp_path):
         },
         "smoothness": [1, 1],
     }
+
+
+@pytest.fixture()
+def mesh_file(tmp_path):
     path = tmp_path / "single_t.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(single_t_document()))
     return str(path)
 
 
@@ -155,9 +159,12 @@ def test_env_tolerance_override():
     import subprocess
     import sys
 
+    import gentess
+
+    src = str(Path(gentess.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", "import gentess.config as c; print(c.rel_tol())"],
-        env={"GENTESS_TOL": "1e-7", "PATH": "/usr/bin:/bin"},
+        env={"GENTESS_TOL": "1e-7", "PATH": "/usr/bin:/bin", "PYTHONPATH": src},
         capture_output=True, text=True)
     assert out.stdout.strip() == "1e-07"
 
@@ -167,5 +174,43 @@ def test_deterministic_output(mesh_file, tmp_path):
     out2 = tmp_path / "b.csv"
     for out in (out1, out2):
         assert main(["basis-fn", mesh_file, "--xi", "5", "--grid", "6x6",
-                     "--seed", "3", "-o", str(out)]) == 0
+                     "-o", str(out)]) == 0
     assert out1.read_text() == out2.read_text()
+
+
+@pytest.mark.parametrize("where, value, flags, env_tol", [
+    (("sections", "s", "n"), None, [], None),
+    (("sections", "s", "n"), "four", [], None),
+    (("sections", "s", "n"), [4], [], None),
+    (("smoothness", 0), None, [], None),
+    (("smoothness", 0), "one", [], None),
+    (("cells", 0, 1), float("nan"), [], None),
+    (("cells", 0, 1), float("inf"), [], None),
+    ((), None, [], "abc"),
+    ((), None, ["--tol", "-1"], None),
+    ((), None, ["--tol", "0"], None),
+], ids=["n-null", "n-string", "n-list", "smoothness-null", "smoothness-string",
+        "coordinate-nan", "coordinate-infinity", "env-tol-abc", "tol-negative",
+        "tol-zero"])
+def test_bad_inputs_exit_1_without_traceback(tmp_path, capsys, monkeypatch,
+                                             where, value, flags, env_tol):
+    from gentess import config
+
+    doc = single_t_document()
+    if where:
+        *parents, last = where
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))  # non-finite floats become NaN/Infinity
+    monkeypatch.setattr(config, "_rel_tol", None)
+    if env_tol is None:
+        monkeypatch.delenv("GENTESS_TOL", raising=False)
+    else:
+        monkeypatch.setenv("GENTESS_TOL", env_tol)
+    assert main(flags + ["dim", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

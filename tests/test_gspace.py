@@ -12,7 +12,6 @@ from gentess import (
     TwoExponentials,
     ValidationError,
     complete_coefficients,
-    dimension,
     dimension_formula,
     domain_points,
     dual_basis_net,
@@ -20,7 +19,6 @@ from gentess import (
     eval_spline_derivative,
     eval_spline_grid,
     extract_mds_values,
-    minimal_determining_set,
     propagate_edge,
     propagate_vertex,
     tensor_mesh,
@@ -99,15 +97,15 @@ def test_space_rejects_invalid_section_interval(meshes):
 
 def test_mds_single_cell_is_full_lattice(meshes):
     space = poly_space(meshes["single_cell"], n=4, r=1)
-    assert dimension(space) == 16
-    assert {e.point.key for e in minimal_determining_set(space)} == {
+    assert space.dim == 16
+    assert {e.point.key for e in space.mds} == {
         (0, i, j) for i in range(4) for j in range(4)}
 
 
 def test_mds_tensor_grid_matches_tensor_spline_dimension(meshes):
     space = poly_space(meshes["tensor_2x2"], n=4, r=1)
     # C^1 bicubics on a 2x2 grid have tensor dimension (3 + 3)^2
-    assert dimension(space) == 36
+    assert space.dim == 36
     assert dimension_formula(space) == 36
 
 

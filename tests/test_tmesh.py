@@ -8,8 +8,6 @@ from gentess import (
     TMesh,
     TwoExponentials,
     ValidationError,
-    classify_vertices,
-    detect_cycles,
     document_to_json,
     load_document,
     load_mesh,
@@ -26,7 +24,7 @@ def test_tensor_grid_structure(meshes):
     assert len(mesh.vertices) == 9
     assert len(mesh.t_junctions) == 0
     assert mesh.regular and not mesh.has_cycles
-    tags = classify_vertices(mesh)
+    tags = mesh.vertex_tags
     assert tags[(Fraction(1), Fraction(1))] == CROSSING
     assert tags[(Fraction(0), Fraction(0))] == BOUNDARY
     # every edge segment is maximal: crossings split the lines
@@ -45,7 +43,7 @@ def test_single_cell_structure(meshes):
 
 def test_t_junction_classification(meshes):
     mesh = meshes["single_t"]
-    tags = classify_vertices(mesh)
+    tags = mesh.vertex_tags
     assert tags[(Fraction(1), Fraction(1))] == T_JUNCTION
     assert tags[(Fraction(1), Fraction(2))] == BOUNDARY
     assert sum(1 for t in tags.values() if t == T_JUNCTION) == 1
@@ -81,7 +79,7 @@ def test_segment_counts_sum_to_total(meshes):
 
 def test_pinwheel_has_cycle():
     mesh = TMesh(CYCLE_CELLS)
-    has, witness = detect_cycles(mesh)
+    has, witness = mesh.has_cycles, mesh.cycle_witness
     assert has
     assert len(witness) == 4
     assert set(witness) <= set(mesh.t_junctions)
@@ -92,7 +90,7 @@ def test_pinwheel_has_cycle():
 def test_acyclic_staircase():
     mesh = TMesh([(0, 4, 0, 2), (0, 2, 2, 4), (2, 4, 2, 3), (2, 3, 3, 4),
                   (3, 4, 3, 4)])
-    has, witness = detect_cycles(mesh)
+    has, witness = mesh.has_cycles, mesh.cycle_witness
     assert not has and witness is None
 
 
