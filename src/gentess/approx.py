@@ -26,7 +26,6 @@ from .gspace import (
     BCoefficientMap,
     GSplineSpace,
     complete_coefficients,
-    dual_basis_net,
     function_bnet,
 )
 from .sectionspace import SectionSpace
@@ -523,13 +522,11 @@ def norm_equivalence_check(space: GSplineSpace, vectors: int = 100,
             violations += 1
 
     def coeff_ratio(batch: int) -> float:
-        worst = 0.0
-        for _ in range(batch):
-            vals = rng.uniform(-1, 1, space.dim)
-            coeffs = complete_coefficients(space, vals)
-            allmax = max(np.max(np.abs(v)) for v in coeffs.values)
-            worst = max(worst, allmax / np.max(np.abs(vals)))
-        return worst
+        # row k holds the determining-set values of spline k
+        vals = rng.uniform(-1, 1, (batch, space.dim))
+        nets = complete_coefficients(space, vals.T).values
+        ratios = np.max(np.abs(nets), axis=(0, 1, 2)) / np.max(np.abs(vals), axis=1)
+        return float(np.max(ratios))
 
     k3 = coeff_ratio(min(vectors, 50))
     k3_re = coeff_ratio(min(vectors, 50))
@@ -540,27 +537,21 @@ def norm_equivalence_check(space: GSplineSpace, vectors: int = 100,
                                  k3_resample_max=k3_re, k4_hat=k4)
 
 
-def spline_support(space: GSplineSpace, coeffs: BCoefficientMap,
-                   floor: float = 1e-12) -> list[int]:
-    """Cells on which any B-coefficient exceeds the floor."""
-    return [c.index for c in space.mesh.cells
-            if np.max(np.abs(coeffs.values[c.index])) > floor]
-
-
 def support_diameter_ratio(space: GSplineSpace) -> float:
-    """Max over cells of diam(union of overlapping basis supports) / diam(cell)."""
-    supports = [spline_support(space, dual_basis_net(space, k))
-                for k in range(space.dim)]
+    """Max over cells of diam(union of overlapping basis supports) / diam(cell).
+
+    All dim basis splines are completed in one batch, which holds
+    cells * n1 * n2 * dim doubles at once.
+    """
+    nets = complete_coefficients(space, np.eye(space.dim)).values
+    # support[c, k]: some B-coefficient of basis spline k on cell c exceeds 1e-12
+    support = np.max(np.abs(nets), axis=(1, 2)) > 1e-12
     worst = 0.0
     for c in space.mesh.cells:
-        cover = {c.index}
-        for sup in supports:
-            if c.index in sup:
-                cover.update(sup)
-        xs = [space.mesh.cells[i].x0 for i in cover] + [space.mesh.cells[i].x1
-                                                        for i in cover]
-        ys = [space.mesh.cells[i].y0 for i in cover] + [space.mesh.cells[i].y1
-                                                        for i in cover]
-        diam = float((max(xs) - min(xs)) ** 2 + (max(ys) - min(ys)) ** 2) ** 0.5
-        worst = max(worst, diam / c.diameter)
+        in_cover = support[:, support[c.index]].any(axis=1)
+        in_cover[c.index] = True
+        cover = [space.mesh.cells[i] for i in np.flatnonzero(in_cover)]
+        dx = max(d.x1 for d in cover) - min(d.x0 for d in cover)
+        dy = max(d.y1 for d in cover) - min(d.y0 for d in cover)
+        worst = max(worst, float(dx ** 2 + dy ** 2) ** 0.5 / c.diameter)
     return worst

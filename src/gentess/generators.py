@@ -254,7 +254,7 @@ def generator_from_json(obj: dict) -> GeneratorPair:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError("generator document must be an object with a 'kind' field")
     kind = obj["kind"]
-    if kind not in _REGISTRY:
+    if not isinstance(kind, str) or kind not in _REGISTRY:
         known = ", ".join(sorted(_REGISTRY))
         raise ValidationError(f"unknown generator kind {kind!r}; known kinds: {known}")
     params = obj.get("params", {})
@@ -262,7 +262,7 @@ def generator_from_json(obj: dict) -> GeneratorPair:
         raise ValidationError("generator 'params' must be an object")
     try:
         return _REGISTRY[kind](**params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"bad parameters for generator {kind!r}: {exc}") from exc
 
 

@@ -16,7 +16,10 @@ The public surface follows the construction used throughout this package:
   systems on the span of the edge);
 * completion: starting from values on the minimal determining set, alternating
   vertex/edge passes determine every remaining coefficient.  Termination is
-  guaranteed on cycle-free meshes and guarded by an iteration cap.
+  guaranteed on cycle-free meshes and guarded by an iteration cap.  A (dim, K)
+  assignment completes K splines in one pass: completion is linear and the
+  slots a step fills never depend on the values, so every block read, write
+  and solve acts on all K columns of the net (one array) at once.
 """
 
 from __future__ import annotations
@@ -58,46 +61,48 @@ class MDSEntry:
 
 
 class BCoefficientMap:
-    """Mutable B-coefficient net over all cells, with known/unknown tracking."""
+    """Mutable B-coefficient net over all cells, with known/unknown tracking.
+
+    ``values`` has shape (cells, n1, n2), or (cells, n1, n2, K) for K splines
+    completed together; ``known`` (cells, n1, n2) serves the whole batch.
+    """
 
     def __init__(self, space: "GSplineSpace"):
         self.space = space
-        shape = (space.n1, space.n2)
-        self.values = [np.zeros(shape) for _ in space.mesh.cells]
-        self.known = [np.zeros(shape, dtype=bool) for _ in space.mesh.cells]
+        shape = (len(space.mesh.cells), space.n1, space.n2)
+        self.values = np.zeros(shape)
+        self.known = np.zeros(shape, dtype=bool)
 
     def set(self, cell: int, i: int, j: int, value: float) -> None:
-        self.values[cell][i, j] = value
-        self.known[cell][i, j] = True
+        self.values[cell, i, j] = value
+        self.known[cell, i, j] = True
 
     def get(self, cell: int, i: int, j: int) -> float:
-        if not self.known[cell][i, j]:
+        if not self.known[cell, i, j]:
             raise GentessError(f"coefficient ({cell},{i},{j}) is not determined yet")
-        return float(self.values[cell][i, j])
-
-    def is_known(self, cell: int, i: int, j: int) -> bool:
-        return bool(self.known[cell][i, j])
-
-    @property
-    def complete(self) -> bool:
-        return all(k.all() for k in self.known)
+        return float(self.values[cell, i, j])
 
     def cell_array(self, cell: int) -> np.ndarray:
-        """Full (n1, n2) coefficient array of one cell; requires completeness there."""
+        """Coefficients of one cell, (n1, n2) or (n1, n2, K); it must be complete."""
         if not self.known[cell].all():
             raise GentessError(f"cell {cell} has undetermined coefficients")
         return self.values[cell]
 
+    def block(self, cell: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Coefficients at rows x cols of one cell; all must be determined."""
+        if not self.known[cell][rows[:, None], cols].all():
+            raise GentessError(f"cell {cell}: coefficients at rows {rows.tolist()}, "
+                               f"columns {cols.tolist()} are not determined yet")
+        return self.values[cell][rows[:, None], cols]
+
     def fill_block(self, cell: int, rows: np.ndarray, cols: np.ndarray,
                    block: np.ndarray) -> None:
-        """Write a solved block, skipping slots that are already determined."""
-        vals = self.values[cell]
-        known = self.known[cell]
-        for a, i in enumerate(rows):
-            for b, j in enumerate(cols):
-                if not known[i, j]:
-                    vals[i, j] = block[a, b]
-                    known[i, j] = True
+        """Write a solved block (len(rows) x len(cols) entries per spline, in
+        any shape), skipping slots that are already determined."""
+        a, b = np.nonzero(~self.known[cell][rows[:, None], cols])
+        block = block.reshape((len(rows), len(cols)) + self.values.shape[3:])
+        self.values[cell, rows[a], cols[b]] = block[a, b]
+        self.known[cell, rows[a], cols[b]] = True
 
 
 class GSplineSpace:
@@ -355,21 +360,26 @@ def _build_mds(space: GSplineSpace) -> list[MDSEntry]:
 
 
 # -- propagation ---------------------------------------------------------------
+# Batch axes fold into matrix columns, so each step is one product or solve.
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product: maps X, flattened row-major, to a @ X @ b.T."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def _vertex_derivatives(space: GSplineSpace, w: Point, cell: int,
                         coeffs: BCoefficientMap) -> np.ndarray:
     """Mixed derivatives D_s^h D_t^k at w, orders up to (r1, r2), from one cell.
 
+    Rows are the orders (h, k) flattened row-major, one column per spline.
     Only the corner disk of the cell contributes at these orders, so the disk
     must be determined.
     """
     rows_s, gs, rows_t, gt = space.corner_maps(cell, w)
-    block = np.empty((len(rows_s), len(rows_t)))
-    for a, i in enumerate(rows_s):
-        for b, j in enumerate(rows_t):
-            block[a, b] = coeffs.get(cell, int(i), int(j))
-    return gs @ block @ gt.T
+    block = coeffs.block(cell, rows_s, rows_t)
+    return _kron(gs, gt) @ block.reshape(len(rows_s) * len(rows_t), -1)
 
 
 def propagate_vertex(space: GSplineSpace, w: Point, source_cell: int,
@@ -389,14 +399,12 @@ def propagate_vertex(space: GSplineSpace, w: Point, source_cell: int,
         if cell == source_cell:
             continue
         rows_s, gs, rows_t, gt = space.corner_maps(cell, w)
-        if all(coeffs.is_known(cell, int(i), int(j))
-               for i in rows_s for j in rows_t):
+        if coeffs.known[cell][rows_s[:, None], rows_t].all():
             continue
         _check_diag(gs, f"vertex {w}, cell {cell}, s direction")
         _check_diag(gt, f"vertex {w}, cell {cell}, t direction")
-        block = np.linalg.solve(gs, target)
-        block = np.linalg.solve(gt, block.T).T
-        coeffs.fill_block(cell, rows_s, rows_t, block)
+        coeffs.fill_block(cell, rows_s, rows_t,
+                          np.linalg.solve(_kron(gs, gt), target))
 
 
 def _solve_two_point(table_lo: np.ndarray, table_hi: np.ndarray,
@@ -407,43 +415,31 @@ def _solve_two_point(table_lo: np.ndarray, table_hi: np.ndarray,
     table_lo[h, i] holds the h-th endpoint derivative of basis function i at
     the low end (zero for i > h), table_hi at the high end (zero for
     i < n-1-h).  Forward substitution from both ends meets in the middle.
+    Row h of rhs_lo/rhs_hi holds the order-h data; trailing columns are
+    solved together.
     """
     n = table_lo.shape[1]
     p = len(rhs_lo) - 1
     q = len(rhs_hi) - 1
     if p + q + 2 != n:
         raise GentessError(f"two-point system is not square ({context})")
-    u = np.zeros(n)
+    scale_lo = np.maximum(np.max(np.abs(table_lo), axis=1), 1e-300)
+    scale_hi = np.maximum(np.max(np.abs(table_hi), axis=1), 1e-300)
+    u = np.zeros((n,) + rhs_lo.shape[1:])
     for h in range(p + 1):
         diag = table_lo[h, h]
-        if abs(diag) <= _DIAG_FLOOR * max(np.max(np.abs(table_lo[h])), 1e-300):
+        if abs(diag) <= _DIAG_FLOOR * scale_lo[h]:
             raise NumericalError(f"two-point solve: zero diagonal at the low end, "
                                  f"order {h} ({context})")
         u[h] = (rhs_lo[h] - table_lo[h, :h] @ u[:h]) / diag
     for h in range(q + 1):
         idx = n - 1 - h
         diag = table_hi[h, idx]
-        if abs(diag) <= _DIAG_FLOOR * max(np.max(np.abs(table_hi[h])), 1e-300):
+        if abs(diag) <= _DIAG_FLOOR * scale_hi[h]:
             raise NumericalError(f"two-point solve: zero diagonal at the high end, "
                                  f"order {h} ({context})")
         u[idx] = (rhs_hi[h] - table_hi[h, idx + 1:] @ u[idx + 1:]) / diag
     return u
-
-
-def _tensor_two_point(table_lo, table_hi, gt, rhs_lo, rhs_hi, context):
-    """Slab solve: two-point Hermite along the edge, triangular across it.
-
-    gt is the across-direction corner table; rhs_lo/rhs_hi carry mixed
-    derivatives with across orders as columns.  Returns (n_along, r+1).
-    """
-    r = gt.shape[0] - 1
-    n = table_lo.shape[1]
-    y = np.empty((n, r + 1))
-    for k in range(r + 1):
-        y[:, k] = _solve_two_point(table_lo, table_hi,
-                                   rhs_lo[:, k], rhs_hi[:, k], context)
-    _check_diag(gt, context + ", across direction")
-    return np.linalg.solve(gt, y.T).T
 
 
 def _derivative_rows(basis: BernsteinBasis, x: float, orders: int) -> np.ndarray:
@@ -466,9 +462,9 @@ def propagate_edge(space: GSplineSpace, edge: CompositeEdge,
     axis = edge.axis
     lo_cell, hi_cell = space.edge_anchors[edge.index]
     if axis == 0:
-        n_along, r_along, r_across = space.n1, space.r1, space.r2
+        n_along, r_along = space.n1, space.r1
     else:
-        n_along, r_along, r_across = space.n2, space.r2, space.r1
+        n_along, r_along = space.n2, space.r2
     p = n_along - r_along - 2
     q = r_along
 
@@ -486,31 +482,28 @@ def propagate_edge(space: GSplineSpace, edge: CompositeEdge,
         gt, across_cols = _edge_across_table(space, edge, cell_idx)
         context = f"edge {edge.index}, cell {cell_idx}"
 
-        virtual = _tensor_two_point(span_lo, span_hi, gt, rhs_lo, rhs_hi,
-                                    context + " (virtual)")
+        # two-point Hermite along the span, then one triangular system across
+        # per along index (gt broadcasts over the first axis)
+        y = _solve_two_point(span_lo, span_hi, rhs_lo, rhs_hi, context + " (virtual)")
+        _check_diag(gt, context + ", across direction")
+        slab = np.linalg.solve(gt, y.reshape(n_along, len(gt), -1)).reshape(n_along, -1)
         c_lo, c_hi = cell.interval(axis)
-        if (c_lo, c_hi) == (edge.lo, edge.hi):
-            slab = virtual
-        else:
+        if (c_lo, c_hi) != (edge.lo, edge.hi):
             # each virtual column is an s-profile (one per across basis
-            # function); re-express the profiles in the cell's along basis by
-            # matching endpoint derivatives at the cell ends
+            # function and spline); re-express the profiles in the cell's
+            # along basis by matching endpoint derivatives at the cell ends
             e_lo = _derivative_rows(span_basis, float(c_lo), p)
             e_hi = _derivative_rows(span_basis, float(c_hi), q)
-            prof_lo = e_lo @ virtual
-            prof_hi = e_hi @ virtual
-            cell_lo = along_basis.endpoint_table("a")[: p + 1]
-            cell_hi = along_basis.endpoint_table("b")[: q + 1]
-            slab = np.empty_like(virtual)
-            for k in range(virtual.shape[1]):
-                slab[:, k] = _solve_two_point(cell_lo, cell_hi,
-                                              prof_lo[:, k], prof_hi[:, k],
-                                              context)
+            slab = _solve_two_point(along_basis.endpoint_table("a")[: p + 1],
+                                    along_basis.endpoint_table("b")[: q + 1],
+                                    e_lo @ slab, e_hi @ slab, context)
+        slab = slab.reshape(n_along, len(gt), -1)
         if axis == 0:
             coeffs.fill_block(cell_idx, np.arange(n_along), across_cols, slab)
         else:
             # vertical edge: slab rows are t indices, columns map to s indices
-            coeffs.fill_block(cell_idx, across_cols, np.arange(n_along), slab.T)
+            coeffs.fill_block(cell_idx, across_cols, np.arange(n_along),
+                              slab.swapaxes(0, 1))
 
 
 def _edge_across_table(space: GSplineSpace, edge: CompositeEdge, cell_idx: int):
@@ -533,8 +526,10 @@ def _edge_point_derivatives(space: GSplineSpace, edge: CompositeEdge,
                             coeffs: BCoefficientMap) -> np.ndarray:
     """D_along^i D_across^j at an edge endpoint, i <= max_along, j <= r_across.
 
-    Computed from the anchoring cell; the triangular endpoint structure means
-    only determined coefficients (endpoint disk plus free strip) enter.
+    Rows are the along orders; the across orders and the splines of a batch
+    fold into columns.  Computed from the anchoring cell; the triangular
+    endpoint structure means only determined coefficients (endpoint disk
+    plus free strip) enter.
     """
     cell = space.mesh.cells[cell_idx]
     if w not in cell.corners:
@@ -548,24 +543,23 @@ def _edge_point_derivatives(space: GSplineSpace, edge: CompositeEdge,
     rows_along, g_along = _corner_table(along_basis, at_low_along, max_along)
     gt, across_cols = _edge_across_table(space, edge, cell_idx)
 
-    block = np.empty((len(rows_along), len(across_cols)))
-    for a, i in enumerate(rows_along):
-        for b, j in enumerate(across_cols):
-            if edge.axis == 0:
-                block[a, b] = coeffs.get(cell_idx, int(i), int(j))
-            else:
-                block[a, b] = coeffs.get(cell_idx, int(j), int(i))
-    return g_along @ block @ gt.T
+    if edge.axis == 0:
+        block = coeffs.block(cell_idx, rows_along, across_cols)
+    else:
+        block = coeffs.block(cell_idx, across_cols, rows_along).swapaxes(0, 1)
+    derivs = _kron(g_along, gt) @ block.reshape(len(rows_along) * len(across_cols), -1)
+    return derivs.reshape(len(rows_along), -1)
 
 
 def complete_coefficients(space: GSplineSpace, assignment) -> BCoefficientMap:
     """Extend values on the minimal determining set to a full coefficient net.
 
-    ``assignment`` is either a mapping from (cell, i, j) keys to values or a
-    sequence aligned with the determining-set order.  Vertex passes and edge
-    passes alternate over a FIFO agenda until everything is determined; the
-    iteration count is capped so a missed cycle surfaces as an error instead
-    of a hang.
+    ``assignment`` is a mapping from (cell, i, j) keys to values, a (dim,)
+    vector aligned with the determining-set order, or a (dim, K) array whose K
+    columns are completed together in one pass (``values`` then gains a
+    trailing axis of length K).  Vertex passes and edge passes alternate over
+    a FIFO agenda until everything is determined; the iteration count is
+    capped so a missed cycle surfaces as an error instead of a hang.
     """
     coeffs = space.empty_map()
     keys = [e.point.key for e in space.mds]
@@ -576,15 +570,17 @@ def complete_coefficients(space: GSplineSpace, assignment) -> BCoefficientMap:
             raise ValidationError(
                 f"assignment must cover exactly the determining set; "
                 f"{len(missing)} missing, {len(extra)} extra")
-        for key in keys:
-            coeffs.set(*key, float(assignment[key]))
+        values = np.array([float(assignment[key]) for key in keys])
     else:
         values = np.asarray(assignment, dtype=float)
-        if values.shape != (len(keys),):
+        if values.ndim not in (1, 2) or len(values) != len(keys) or values.size == 0:
             raise ValidationError(
-                f"assignment vector must have length {len(keys)}")
-        for key, v in zip(keys, values):
-            coeffs.set(*key, float(v))
+                f"assignment must have shape ({len(keys)},) or ({len(keys)}, K) "
+                f"with K >= 1, got {values.shape}")
+    coeffs.values = np.zeros(coeffs.known.shape + values.shape[1:])
+    index = tuple(np.array(keys).T)
+    coeffs.values[index] = values
+    coeffs.known[index] = True
 
     mesh = space.mesh
     determined_v: set[Point] = set()
@@ -619,7 +615,7 @@ def complete_coefficients(space: GSplineSpace, assignment) -> BCoefficientMap:
                 "coefficient completion stalled; the mesh ordering assumptions "
                 "do not hold (possible undetected cycle)")
 
-    if not coeffs.complete:
+    if not coeffs.known.all():
         raise GentessError("completion finished with undetermined coefficients")
     return coeffs
 
@@ -714,11 +710,12 @@ def dual_basis_net(space: GSplineSpace, index: int) -> BCoefficientMap:
     """Completion of the indicator assignment of one determining-set member."""
     if not 0 <= index < space.dim:
         raise ValidationError(f"basis index {index} outside 0..{space.dim - 1}")
-    values = np.zeros(space.dim)
-    values[index] = 1.0
-    return complete_coefficients(space, values)
+    return complete_coefficients(space, np.arange(space.dim) == index)
 
 
 def extract_mds_values(space: GSplineSpace, coeffs: BCoefficientMap) -> np.ndarray:
-    """Read the determining-set coefficients back out of a complete net."""
-    return np.array([coeffs.get(*e.point.key) for e in space.mds])
+    """Read the determining-set values, (dim,) or (dim, K), out of a net."""
+    index = tuple(np.array([e.point.key for e in space.mds]).T)
+    if not coeffs.known[index].all():
+        raise GentessError("determining-set coefficients are not all determined")
+    return coeffs.values[index]

@@ -32,6 +32,8 @@ from .util import cheb_points, count_zero_sites
 _THETA_COUNT = 64
 _SCAN_POINTS = 2048
 _WRONSKIAN_POINTS = 1024
+#: orders size arrays; no family stays numerically independent near this one
+_MAX_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,8 @@ def make_section_space(gen: GeneratorPair, n: int, a: float, b: float,
     """Build a section space and compute all three validity flags."""
     if not isinstance(gen, GeneratorPair):
         raise ValidationError("gen must be a GeneratorPair")
-    if int(n) != n or n < 3:
-        raise ValidationError(f"order n must be an integer >= 3, got {n}")
+    if int(n) != n or not 3 <= n <= _MAX_ORDER:
+        raise ValidationError(f"order n must be an integer in [3, {_MAX_ORDER}], got {n}")
     n = int(n)
     a = float(a)
     b = float(b)
@@ -130,7 +132,12 @@ def _dimension_ok(gen: GeneratorPair, n: int, a: float, b: float) -> bool:
 
     The polynomial part is evaluated in shifted-scaled form; the span is the
     same and the collocation matrix stays well conditioned on any interval.
+    False as well when u, v or a derivative of order < n overflows at an end.
     """
+    try:
+        ends = [gen.deriv(w, k, np.array([a, b]), n) for w in "uv" for k in range(n)]
+    except OverflowError:
+        return False
     pts = cheb_points(4 * n, a, b)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -139,7 +146,7 @@ def _dimension_ok(gen: GeneratorPair, n: int, a: float, b: float) -> bool:
     cols.append(np.asarray(gen.v_deriv(0, pts, n), dtype=float))
     m = np.column_stack(cols)
     norms = np.max(np.abs(m), axis=0)
-    if np.any(norms == 0):
+    if not (np.isfinite(m).all() and np.isfinite(ends).all()) or np.any(norms == 0):
         return False
     m = m / norms
     sv = np.linalg.svd(m, compute_uv=False)

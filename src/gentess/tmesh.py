@@ -37,13 +37,13 @@ def to_fraction(value) -> Fraction:
         return value
     if isinstance(value, bool):
         raise ValidationError(f"coordinate {value!r} is not a number")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+            frac = Fraction(value)
+            float(frac)  # coordinates are also used as floats
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValidationError(f"cannot parse coordinate {value!r}") from exc
+        return frac
     if isinstance(value, float) and math.isfinite(value):
         return Fraction(str(value))
     raise ValidationError(f"cannot parse coordinate {value!r}")
@@ -147,9 +147,11 @@ class TMesh:
     """Immutable T-mesh with eagerly derived combinatorial structure."""
 
     def __init__(self, cells):
+        if not isinstance(cells, (list, tuple)):
+            raise ValidationError("'cells' must be a list of [x0, x1, y0, y1] entries")
         parsed = []
         for idx, spec in enumerate(cells):
-            if len(spec) != 4:
+            if not isinstance(spec, (list, tuple)) or len(spec) != 4:
                 raise ValidationError(f"cell {idx}: expected [x0, x1, y0, y1]")
             x0, x1, y0, y1 = (to_fraction(v) for v in spec)
             if not (x0 < x1 and y0 < y1):

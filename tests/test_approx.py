@@ -348,6 +348,36 @@ def test_norm_equivalence(meshes):
     assert report.k4_hat >= 1.0
 
 
+def test_support_ratio_is_one_batched_completion(meshes, monkeypatch):
+    import gentess.approx as approx_mod
+    from gentess import dual_basis_net
+
+    space = GSplineSpace(meshes["double_t"], HYPER, 4, HYPER, 4, (1, 1))
+    supports = []
+    for k in range(space.dim):
+        net = dual_basis_net(space, k)
+        supports.append({c.index for c in space.mesh.cells
+                         if np.max(np.abs(net.values[c.index])) > 1e-12})
+    expected = 0.0
+    for c in space.mesh.cells:
+        cover = set().union({c.index}, *(s for s in supports if c.index in s))
+        cells = [space.mesh.cells[i] for i in cover]
+        dx = max(d.x1 for d in cells) - min(d.x0 for d in cells)
+        dy = max(d.y1 for d in cells) - min(d.y0 for d in cells)
+        expected = max(expected, float(dx ** 2 + dy ** 2) ** 0.5 / c.diameter)
+
+    calls = []
+
+    def counting(space, assignment):
+        calls.append(np.shape(assignment))
+        return complete_coefficients(space, assignment)
+
+    monkeypatch.setattr(approx_mod, "complete_coefficients", counting)
+    monkeypatch.setattr("gentess.gspace.complete_coefficients", counting)
+    assert approx_mod.support_diameter_ratio(space) == expected
+    assert calls == [(space.dim, space.dim)]
+
+
 def test_k1_matches_independent_computation_single_cell():
     # classical collocation-inverse norm on one polynomial cell
     from classical import bernstein_value

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gentess.cli import main
 
@@ -189,9 +191,18 @@ def test_deterministic_output(mesh_file, tmp_path):
     ((), None, [], "abc"),
     ((), None, ["--tol", "-1"], None),
     ((), None, ["--tol", "0"], None),
+    (("cells",), 5, [], None),
+    (("cells",), [None], [], None),
+    (("sections", "s", "kind"), ["two_exponentials"], [], None),
+    (("sections", "s"), {"kind": "power_pair", "params": {"m0": "x", "m1": 1},
+                         "n": 4}, [], None),
+    (("cells", 0, 1), 1e308, [], None),
+    (("cells", 0, 1), "1e400", [], None),
+    (("cells", 0, 1), 10 ** 400, [], None),
 ], ids=["n-null", "n-string", "n-list", "smoothness-null", "smoothness-string",
         "coordinate-nan", "coordinate-infinity", "env-tol-abc", "tol-negative",
-        "tol-zero"])
+        "tol-zero", "cells-number", "cell-null", "kind-list", "power-exponent-string",
+        "coordinate-huge", "coordinate-string-overflow", "coordinate-int-overflow"])
 def test_bad_inputs_exit_1_without_traceback(tmp_path, capsys, monkeypatch,
                                              where, value, flags, env_tol):
     from gentess import config
@@ -214,3 +225,38 @@ def test_bad_inputs_exit_1_without_traceback(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def _field_paths(node, prefix=()):
+    """The path of every field of a JSON document, at any depth."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    paths = []
+    for key, child in items:
+        paths.append(prefix + (key,))
+        paths.extend(_field_paths(child, prefix + (key,)))
+    return paths
+
+
+# small integers reach every branch of the order, smoothness and exponent
+# checks; large ones only make valid documents slower
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 12),
+                     st.floats(), st.just(1e308), st.text(max_size=6))
+_FIELD_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=4),
+                          st.dictionaries(st.text(max_size=4), _SCALARS, max_size=3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(path=st.sampled_from(_field_paths(single_t_document())), value=_FIELD_VALUES)
+def test_fuzzed_document_exits_cleanly(path, value):
+    doc = single_t_document()
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    assert main(["dim", json.dumps(doc)]) in (0, 1, 2)

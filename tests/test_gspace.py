@@ -5,6 +5,7 @@ import pytest
 
 from classical import bnet_to_poly2d, poly2d_eval, poly_bnet, random_poly2d
 from gentess import (
+    ExpTrig,
     GSplineSpace,
     GentessError,
     PolynomialDegenerate,
@@ -217,6 +218,30 @@ def test_completion_rejects_bad_assignment(meshes):
         complete_coefficients(space, np.zeros(space.dim - 1))
     with pytest.raises(ValidationError):
         complete_coefficients(space, {(0, 0, 0): 1.0})
+
+
+@pytest.mark.parametrize("mesh_name", ["single_t", "double_t", "chained_t"])
+@pytest.mark.parametrize("gen", [HYper, PolynomialDegenerate(), ExpTrig(0.3, 0.6)],
+                         ids=["two_exponentials", "polynomial", "exp_trig"])
+def test_batched_completion_matches_single_completions(meshes, rng, mesh_name, gen):
+    space = GSplineSpace(meshes[mesh_name], gen, 5, gen, 4, (1, 1))
+    batch = rng.uniform(-1, 1, (space.dim, 3))
+    nets = complete_coefficients(space, batch)
+    assert nets.values.shape == (len(space.mesh.cells), 5, 4, 3)
+    for k in range(3):
+        single = complete_coefficients(space, batch[:, k])
+        np.testing.assert_allclose(nets.values[..., k], single.values, rtol=0,
+                                   atol=1e-13)
+    np.testing.assert_array_equal(extract_mds_values(space, nets), batch)
+
+
+def test_batched_completion_checks_the_assignment_shape(meshes):
+    space = poly_space(meshes["single_t"])
+    assert complete_coefficients(space, np.ones((space.dim, 1))).known.all()
+    for bad in (np.zeros((space.dim, 2, 2)), np.zeros((space.dim + 1, 2)),
+                np.zeros((space.dim, 0))):
+        with pytest.raises(ValidationError):
+            complete_coefficients(space, bad)
 
 
 def test_completion_reproduces_global_polynomial(meshes, rng):
