@@ -25,6 +25,7 @@ from .errors import NumericalError, ValidationError
 from .gspace import (
     BCoefficientMap,
     GSplineSpace,
+    _spline_derivative_table,
     complete_coefficients,
     function_bnet,
 )
@@ -337,17 +338,31 @@ def hermite_local_univariate(space: SectionSpace, f_deriv, s0: float) -> Univari
 
 
 class SplineOracle:
-    """Derivative oracle exposing a completed spline as a target function."""
+    """Derivative oracle exposing a completed spline as a target function.
+
+    The first ``deriv`` at an anchor locates its cell once and builds the
+    whole table of mixed derivatives there, up to bi-order (n1-1, n2-1) or
+    the order asked for if higher; later calls at that anchor read the table.
+    Only the table of the latest anchor is kept.
+    """
 
     def __init__(self, space: GSplineSpace, coeffs: BCoefficientMap):
         self.space = space
         self.coeffs = coeffs
+        self._anchor = None
+        self._table = np.empty((0, 0))
 
     def deriv(self, i, j, s, t):
-        from .gspace import eval_spline_derivative
-
-        return eval_spline_derivative(self.space, self.coeffs, i, j,
-                                      float(s), float(t))
+        if i < 0 or j < 0:
+            raise ValidationError("derivative order must be nonnegative")
+        anchor = (float(s), float(t))
+        rows, cols = self._table.shape
+        if anchor != self._anchor or i >= rows or j >= cols:
+            self._table = _spline_derivative_table(
+                self.space, self.coeffs, max(i, self.space.n1 - 1),
+                max(j, self.space.n2 - 1), *anchor)
+            self._anchor = anchor
+        return float(self._table[i, j])
 
 
 def quasi_interpolant(space: GSplineSpace, f) -> BCoefficientMap:

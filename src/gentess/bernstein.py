@@ -8,7 +8,11 @@ level (k = n-1) is the Bernstein-like basis of the section space itself.
 
 Functions at level k >= 1 are stored as Chebyshev series on [a, b]; the
 cumulative integrals are computed spectrally on the coefficients, so every
-level is exact relative to the level-1 proxies.  Derivatives never touch the
+level is exact relative to the level-1 proxies.  Each level also keeps its
+series as the columns of one zero-padded coefficient matrix, so all k+1
+functions of a level are evaluated in one Clenshaw pass; the padding adds
+exact zeros to the recurrence, and the values are bit-identical to
+evaluating each series on its own.  Derivatives never touch the
 proxies: the derivative of a level-(k+1) function is a weighted difference of
 level-k functions, and once the recursion reaches level 1 the remaining orders
 come from the closed-form generator derivatives.
@@ -16,11 +20,11 @@ come from the closed-form generator derivatives.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Chebyshev
+from numpy.polynomial.chebyshev import chebval
 
 from . import config
 from .errors import NumericalError, ValidationError
@@ -123,7 +127,8 @@ def _fit_proxy(func, a: float, b: float, where: str) -> Chebyshev:
 class BernsteinBasis:
     """The n basis functions of a section space, with exact-recursion derivatives.
 
-    Immutable after construction; evaluation is reentrant.
+    Fixed after construction, except for the endpoint tables, which are
+    filled on first use.
     """
 
     def __init__(self, space: SectionSpace, levels: dict[int, RecurrenceLevel],
@@ -134,8 +139,17 @@ class BernsteinBasis:
         self.b = space.b
         self.levels = levels
         self.proxy_degree = proxy_degree
-        self._table_lock = threading.Lock()
         self._tables: dict[str, np.ndarray] = {}
+        # per level: the map of [a, b] onto the Chebyshev window and the
+        # coefficient matrix, one zero-padded column per function
+        self._stacked: dict[int, tuple[float, float, np.ndarray]] = {}
+        for k, level in levels.items():
+            degree = max(len(f.coef) for f in level.series)
+            coef = np.zeros((degree, k + 1))
+            for i, f in enumerate(level.series):
+                coef[: len(f.coef), i] = f.coef
+            off, scl = level.series[0].mapparms()
+            self._stacked[k] = (off, scl, coef)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -146,17 +160,18 @@ class BernsteinBasis:
             raise ValidationError(f"sample point outside [{self.a}, {self.b}]")
         return arr
 
+    def _eval_level(self, k: int, s) -> np.ndarray:
+        """Values of the k+1 functions of level k at s, in one Clenshaw pass;
+        shape (k+1,) + shape(s).  No domain check."""
+        off, scl, coef = self._stacked[k]
+        return chebval(off + scl * np.asarray(s, dtype=float), coef)
+
     def eval_all(self, s) -> np.ndarray:
         """Values of all n basis functions; shape (n,) + shape(s)."""
-        arr = self._check_domain(s)
-        top = self.levels[self.n - 1]
-        return np.stack([np.asarray(f(arr), dtype=float) for f in top.series])
+        return self._eval_level(self.n - 1, self._check_domain(s))
 
     def eval(self, i: int, s):
-        if not 0 <= i <= self.n - 1:
-            raise ValidationError(f"basis index {i} outside 0..{self.n - 1}")
-        arr = self._check_domain(s)
-        return self.levels[self.n - 1].series[i](arr)
+        return self.eval_derivative(i, 0, s)
 
     def eval_all_derivative(self, order: int, s) -> np.ndarray:
         """order-th derivatives of all n basis functions at s.
@@ -169,7 +184,7 @@ class BernsteinBasis:
             raise ValidationError("derivative order must be nonnegative")
         arr = self._check_domain(s)
         if order == 0:
-            return self.eval_all(arr)
+            return self._eval_level(self.n - 1, arr)
         n = self.n
         k = n - 1
         w = np.eye(n)
@@ -181,7 +196,7 @@ class BernsteinBasis:
             remaining -= 1
         level = self.levels[k]
         if remaining == 0:
-            vals = np.stack([np.asarray(f(arr), dtype=float) for f in level.series])
+            vals = self._eval_level(k, arr)
         else:
             f0, f1 = level.base
             vals = np.stack([np.asarray(f0.deriv(remaining, arr), dtype=float),
@@ -202,13 +217,12 @@ class BernsteinBasis:
         """
         if side not in ("a", "b"):
             raise ValidationError("side must be 'a' or 'b'")
-        with self._table_lock:
-            if side not in self._tables:
-                x = self.a if side == "a" else self.b
-                rows = [self.eval_all_derivative(j, np.array([x]))[:, 0]
-                        for j in range(self.n)]
-                self._tables[side] = np.array(rows)
-            return self._tables[side]
+        if side not in self._tables:
+            x = self.a if side == "a" else self.b
+            rows = [self.eval_all_derivative(j, np.array([x]))[:, 0]
+                    for j in range(self.n)]
+            self._tables[side] = np.array(rows)
+        return self._tables[side]
 
 
 def build_basis(space: SectionSpace) -> BernsteinBasis:
@@ -252,8 +266,7 @@ def _validate_basis(basis: BernsteinBasis) -> None:
     n = basis.n
     pts = cheb_points(_VALIDATION_POINTS, basis.a, basis.b)
     for k in range(2, n):
-        vals = np.stack([np.asarray(f(pts), dtype=float)
-                         for f in basis.levels[k].series])
+        vals = basis._eval_level(k, pts)
         unity = np.max(np.abs(vals.sum(axis=0) - 1.0))
         if unity > _UNITY_TOL:
             raise NumericalError(
@@ -287,7 +300,6 @@ def _validate_basis(basis: BernsteinBasis) -> None:
                         f"function {i}, order {j}")
 
 
-_cache_lock = threading.Lock()
 _basis_cache: dict[tuple, BernsteinBasis] = {}
 
 
@@ -299,16 +311,12 @@ def basis_for(gen: GeneratorPair, n: int, a, b) -> BernsteinBasis:
     numeric type (Fraction endpoints from a mesh hash distinctly from floats).
     """
     key = (gen.cache_key(), n, a, b, config.rel_tol())
-    with _cache_lock:
-        hit = _basis_cache.get(key)
-    if hit is not None:
-        return hit
-    space = make_section_space(gen, n, float(a), float(b))
-    basis = build_basis(space)
-    with _cache_lock:
-        return _basis_cache.setdefault(key, basis)
+    hit = _basis_cache.get(key)
+    if hit is None:
+        space = make_section_space(gen, n, float(a), float(b))
+        hit = _basis_cache[key] = build_basis(space)
+    return hit
 
 
 def clear_basis_cache() -> None:
-    with _cache_lock:
-        _basis_cache.clear()
+    _basis_cache.clear()

@@ -20,6 +20,12 @@ The public surface follows the construction used throughout this package:
   assignment completes K splines in one pass: completion is linear and the
   slots a step fills never depend on the values, so every block read, write
   and solve acts on all K columns of the net (one array) at once.
+
+Evaluation takes a point to its owning cell, the smallest-id closed cell that
+contains it once each cell side is widened by 1e-12 * max(1, |lo|, |hi|) of
+that cell, and evaluates the tensor basis of that cell there.  The owner is
+looked up in a table over the mesh's float breakpoint grid, not found by a
+scan over the cells.
 """
 
 from __future__ import annotations
@@ -623,19 +629,27 @@ def complete_coefficients(space: GSplineSpace, assignment) -> BCoefficientMap:
 # -- evaluation -------------------------------------------------------------------
 
 
-def _owning_cell(space: GSplineSpace, x: float, y: float) -> int:
-    """Smallest-id cell containing the point; floats compared with slack."""
-    best = None
-    for c in space.mesh.cells:
-        x0, x1, y0, y1 = c.as_floats()
-        sx = 1e-12 * max(1.0, abs(x0), abs(x1))
-        sy = 1e-12 * max(1.0, abs(y0), abs(y1))
-        if x0 - sx <= x <= x1 + sx and y0 - sy <= y <= y1 + sy:
-            best = c.index
-            break
-    if best is None:
+def _owning_cells(space: GSplineSpace, xs, ys) -> np.ndarray:
+    """Owning cell of each point (xs[k], ys[k]): the smallest-id closed cell
+    containing it, each cell widened by 1e-12 * max(1, |lo|, |hi|) per side.
+
+    Raises ValidationError when a point lies outside the mesh domain.
+    """
+    cells = space.mesh._locator.locate(xs, ys)
+    if np.any(cells < 0):
+        k = int(np.argmax(cells < 0))
+        x, y = np.ravel(xs)[k], np.ravel(ys)[k]
         raise ValidationError(f"point ({x}, {y}) lies outside the mesh domain")
-    return best
+    return cells
+
+
+def _owning_cell(space: GSplineSpace, x: float, y: float) -> int:
+    return int(_owning_cells(space, [x], [y])[0])
+
+
+def _clip_to_cell(space: GSplineSpace, cell: int, x, y):
+    c = space.mesh.cells[cell]
+    return (np.clip(x, float(c.x0), float(c.x1)), np.clip(y, float(c.y0), float(c.y1)))
 
 
 def eval_spline(space: GSplineSpace, coeffs: BCoefficientMap, x: float, y: float,
@@ -648,42 +662,42 @@ def eval_spline_derivative(space: GSplineSpace, coeffs: BCoefficientMap,
                            cell: int | None = None) -> float:
     if cell is None:
         cell = _owning_cell(space, x, y)
-    c = space.mesh.cells[cell]
-    bx = np.clip(x, float(c.x0), float(c.x1))
-    by = np.clip(y, float(c.y0), float(c.y1))
+    bx, by = _clip_to_cell(space, cell, x, y)
     vs = space.basis_s(cell).eval_all_derivative(order_s, np.array([bx]))[:, 0]
     vt = space.basis_t(cell).eval_all_derivative(order_t, np.array([by]))[:, 0]
     return float(vs @ coeffs.cell_array(cell) @ vt)
 
 
+def _spline_derivative_table(space: GSplineSpace, coeffs: BCoefficientMap,
+                             orders_s: int, orders_t: int,
+                             x: float, y: float) -> np.ndarray:
+    """T[h, k] = D_s^h D_t^k of the spline at (x, y), h <= orders_s,
+    k <= orders_t: one cell location and one basis evaluation per order."""
+    cell = _owning_cell(space, x, y)
+    bx, by = _clip_to_cell(space, cell, x, y)
+    ds = _derivative_rows(space.basis_s(cell), bx, orders_s)
+    dt = _derivative_rows(space.basis_t(cell), by, orders_t)
+    return ds @ coeffs.cell_array(cell) @ dt.T
+
+
 def eval_spline_grid(space: GSplineSpace, coeffs: BCoefficientMap,
                      xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Values on the tensor grid xs x ys; boundary points owned by the
-    smallest-id containing cell.  Returns shape (len(xs), len(ys))."""
+    """Values on the tensor grid xs x ys, each node evaluated in its owning
+    cell (see ``_owning_cells``).  Returns shape (len(xs), len(ys))."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    out = np.full((xs.size, ys.size), np.nan)
-    unset = np.ones_like(out, dtype=bool)
-    for c in space.mesh.cells:
-        x0, x1, y0, y1 = c.as_floats()
-        ix = np.nonzero((xs >= x0 - 1e-12) & (xs <= x1 + 1e-12))[0]
-        iy = np.nonzero((ys >= y0 - 1e-12) & (ys <= y1 + 1e-12))[0]
-        if ix.size == 0 or iy.size == 0:
-            continue
-        sub = unset[np.ix_(ix, iy)]
-        if not sub.any():
-            continue
-        bs = space.basis_s(c.index).eval_all(np.clip(xs[ix], x0, x1))
-        bt = space.basis_t(c.index).eval_all(np.clip(ys[iy], y0, y1))
-        vals = bs.T @ coeffs.cell_array(c.index) @ bt
-        block = out[np.ix_(ix, iy)]
-        block[sub] = vals[sub]
-        out[np.ix_(ix, iy)] = block
-        un = unset[np.ix_(ix, iy)]
-        un[...] = False
-        unset[np.ix_(ix, iy)] = un
-    if np.isnan(out).any():
-        raise ValidationError("grid contains points outside the mesh domain")
+    gx, gy = np.meshgrid(np.arange(xs.size), np.arange(ys.size), indexing="ij")
+    owner = _owning_cells(space, xs[gx], ys[gy]).reshape(gx.shape)
+    out = np.empty(owner.shape)
+    for cell in np.unique(owner).tolist():
+        # the nodes a cell owns lie in the tensor grid of their rows and columns
+        mine = owner == cell
+        ix = np.flatnonzero(mine.any(axis=1))
+        iy = np.flatnonzero(mine.any(axis=0))
+        bx, by = _clip_to_cell(space, cell, xs[ix], ys[iy])
+        vals = (space.basis_s(cell).eval_all(bx).T @ coeffs.cell_array(cell)
+                @ space.basis_t(cell).eval_all(by))
+        out[mine] = vals[mine[np.ix_(ix, iy)]]
     return out
 
 

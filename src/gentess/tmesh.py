@@ -5,7 +5,8 @@ incidence never depends on floating-point coincidence; conversion to floats
 happens only when analysis modules need it.  The mesh document lists cells
 only; vertices, edge segments, composite edges, vertex classification,
 regularity and cycle status are all derived here eagerly at load time, after
-which the mesh is immutable and safe for concurrent reads.
+which the mesh is immutable.  Only the float lookup table that locates points
+in cells is built later, on first use, because only evaluation needs it.
 
 Vocabulary: a vertex is any cell corner.  A cell corner lying strictly inside
 another cell's side is a T-junction.  An edge segment joins two vertices that
@@ -17,9 +18,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ValidationError
 from .generators import GeneratorPair, generator_from_json
@@ -30,6 +36,22 @@ T_JUNCTION = "t_junction"
 CROSSING = "crossing"
 BOUNDARY = "boundary"
 
+_DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
+
+
+def _check_exponent(text: str) -> None:
+    """Reject a decimal exponent that puts the value far outside the double range.
+
+    Fraction would first build 10**exponent exactly, which takes seconds for
+    a seven-digit exponent.  The digits of the string can shift the value by
+    at most its length in decades, so beyond that plus the decades of the
+    double range the value overflows or rounds to zero whatever the digits.
+    """
+    match = _DECIMAL_EXPONENT.search(text)
+    limit = len(text) + sys.float_info.max_10_exp - sys.float_info.min_10_exp
+    if match and abs(int(match[1])) > limit:
+        raise ValueError(f"decimal exponent beyond +-{limit}")
+
 
 def to_fraction(value) -> Fraction:
     """Exact coordinate parsing: ints and decimal/ratio strings stay exact."""
@@ -39,6 +61,8 @@ def to_fraction(value) -> Fraction:
         raise ValidationError(f"coordinate {value!r} is not a number")
     if isinstance(value, (int, str)):
         try:
+            if isinstance(value, str):
+                _check_exponent(value)
             frac = Fraction(value)
             float(frac)  # coordinates are also used as floats
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -141,6 +165,64 @@ class MeshStats:
     max_chain_length: int
     #: largest cell aspect ratio
     max_aspect_ratio: float
+
+
+class _CellLocator:
+    """Finds the cell that owns a point, by lookup in a float breakpoint grid.
+
+    The distinct cell bounds, as floats, cut the domain into grid rectangles.
+    Each rectangle lies in one cell or outside the domain; ``owner`` holds the
+    smallest id of a cell covering it, or -1, as one int32 per rectangle
+    inside a border of -1.  A point is found by binary search on the
+    breakpoints and a look at the one to four rectangles it touches.
+    """
+
+    def __init__(self, cells: list[Cell]):
+        bounds = [c.as_floats() for c in cells]
+        xb = sorted({v for x0, x1, _, _ in bounds for v in (x0, x1)})
+        yb = sorted({v for _, _, y0, y1 in bounds for v in (y0, y1)})
+        px = {v: p for p, v in enumerate(xb, start=1)}
+        py = {v: q for q, v in enumerate(yb, start=1)}
+        # rectangle [xb[p-1], xb[p]] x [yb[q-1], yb[q]] is owner[p, q]
+        self.owner = np.full((len(xb) + 1, len(yb) + 1), -1, dtype=np.int32)
+        for c in reversed(range(len(bounds))):
+            x0, x1, y0, y1 = bounds[c]
+            self.owner[px[x0]:px[x1], py[y0]:py[y1]] = c
+        self.xb = np.array(xb)
+        self.yb = np.array(yb)
+        widened = []
+        slack = 0.0
+        for x0, x1, y0, y1 in bounds:
+            sx = 1e-12 * max(1.0, abs(x0), abs(x1))
+            sy = 1e-12 * max(1.0, abs(y0), abs(y1))
+            widened.append((x0 - sx, x1 + sx, y0 - sy, y1 + sy))
+            slack = max(slack, sx, sy)
+        widened.append((np.inf, -np.inf, np.inf, -np.inf))   # owner -1: no point
+        self.lo_x, self.hi_x, self.lo_y, self.hi_y = np.array(widened).T
+        # the rectangle search reaches twice the widest slack, so it meets
+        # every cell whose own slack admits the point
+        self.margin = 2 * slack
+
+    def locate(self, xs, ys) -> np.ndarray:
+        """Owner of each point (xs[k], ys[k]), or -1 outside the domain.
+
+        The owner is the smallest-id cell whose closure contains the point
+        once each side is widened by 1e-12 * max(1, |lo|, |hi|) of that cell.
+        """
+        xs = np.asarray(xs, dtype=float).ravel()
+        ys = np.asarray(ys, dtype=float).ravel()
+        # rectangles p_lo..p_hi, q_lo..q_hi reach within the margin of the point
+        p_lo, p_hi = self.xb.searchsorted((xs - self.margin, xs + self.margin))
+        q_lo, q_hi = self.yb.searchsorted((ys - self.margin, ys + self.margin))
+        none = len(self.lo_x) - 1
+        span = max((p_hi - p_lo).max(initial=0), (q_hi - q_lo).max(initial=0))
+        steps = np.arange(span + 1)[:, None]
+        c = self.owner[np.minimum(p_lo + steps, p_hi)[:, None],
+                       np.minimum(q_lo + steps, q_hi)[None]]
+        inside = ((self.lo_x[c] <= xs) & (xs <= self.hi_x[c])
+                  & (self.lo_y[c] <= ys) & (ys <= self.hi_y[c]))
+        best = np.where(inside, c, none).min(axis=(0, 1), initial=none)
+        return np.where(best < none, best, -1)
 
 
 class TMesh:
@@ -395,6 +477,11 @@ class TMesh:
 
     def max_diameter(self) -> float:
         return max(c.diameter for c in self.cells)
+
+    @cached_property
+    def _locator(self) -> _CellLocator:
+        """Point-location table, built on first use."""
+        return _CellLocator(self.cells)
 
     def to_cells_json(self) -> list[list[str]]:
         return [[str(c.x0), str(c.x1), str(c.y0), str(c.y1)] for c in self.cells]

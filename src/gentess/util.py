@@ -30,19 +30,10 @@ def count_zero_sites(values: np.ndarray, tol: float) -> int:
     A zero site is either a run of consecutive samples below ``tol`` in
     magnitude or a sign change between adjacent samples above it.
     """
+    values = np.asarray(values)
     near = np.abs(values) <= tol
-    sites = 0
-    in_run = False
-    prev_sign = 0
-    for v, nz in zip(values, near):
-        if nz:
-            if not in_run:
-                sites += 1
-                in_run = True
-            continue
-        sign = 1 if v > 0 else -1
-        if not in_run and prev_sign != 0 and sign != prev_sign:
-            sites += 1
-        in_run = False
-        prev_sign = sign
-    return sites
+    runs = np.count_nonzero(near[1:] & ~near[:-1]) + int(near[:1].any())
+    far = ~near
+    positive = values > 0
+    flips = np.count_nonzero(far[1:] & far[:-1] & (positive[1:] != positive[:-1]))
+    return int(runs + flips)

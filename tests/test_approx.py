@@ -13,6 +13,7 @@ from gentess import (
     ValidationError,
     complete_coefficients,
     convergence_study,
+    eval_spline_derivative,
     get_test_function,
     hermite_local,
     l2_error,
@@ -23,6 +24,7 @@ from gentess import (
     tensor_mesh,
 )
 from gentess.approx import derivative_table
+from gentess.gspace import _derivative_rows, _owning_cell
 
 HYPER = TwoExponentials(1, -1)
 
@@ -390,3 +392,50 @@ def test_k1_matches_independent_computation_single_cell():
     m = np.array([[bernstein_value(2, i, 0, 1, x) for i in range(3)] for x in xs])
     expected = np.linalg.norm(np.linalg.inv(m), np.inf) ** 2
     assert report.k1 == pytest.approx(expected, rel=1e-9)
+
+
+# -- the spline oracle's derivative tables ------------------------------------------
+
+
+@pytest.mark.parametrize("name, gen_s, n1, gen_t, n2, smoothness", [
+    ("double_t", ExpTrig(0.3, 0.8), 5, HYPER, 4, (1, 1)),
+    ("single_t", HYPER, 6, HYPER, 6, (2, 2)),
+    ("quadrant_mix", PolynomialDegenerate(), 4, ExpTrig(0.3, 0.6), 4, (1, 1)),
+], ids=["double_t", "single_t", "quadrant_mix"])
+def test_spline_oracle_tables_match_point_evaluation(meshes, rng, name, gen_s, n1,
+                                                     gen_t, n2, smoothness):
+    space = GSplineSpace(meshes[name], gen_s, n1, gen_t, n2, smoothness)
+    coeffs = complete_coefficients(space, rng.uniform(-1, 1, space.dim))
+    oracle = SplineOracle(space, coeffs)
+    anchors = [(float(c.x0 + c.x1) / 2, float(c.y0 + c.y1) / 2) for c in space.mesh.cells]
+    anchors += [(float(c.x0), float(c.y1)) for c in space.mesh.cells]   # owned by a neighbour
+    # orders at and beyond n; revisiting an anchor after another must not
+    # read the other anchor's table
+    for s, t in anchors + anchors[::-1]:
+        cell = _owning_cell(space, s, t)
+        ds = _derivative_rows(space.basis_s(cell), s, n1 + 1)
+        dt = _derivative_rows(space.basis_t(cell), t, n2 + 1)
+        # the size of the summed terms: a value itself may cancel to near 0
+        scale = np.abs(ds) @ np.abs(coeffs.cell_array(cell)) @ np.abs(dt).T
+        for i in range(n1 + 2):
+            for j in range(n2 + 2):
+                want = eval_spline_derivative(space, coeffs, i, j, s, t)
+                assert abs(oracle.deriv(i, j, s, t) - want) <= 1e-14 * scale[i, j]
+    with pytest.raises(ValidationError):
+        oracle.deriv(-1, 0, *anchors[0])
+
+
+def test_spline_oracle_builds_one_table_per_anchor(meshes, rng, monkeypatch):
+    import gentess.approx as approx
+
+    space = GSplineSpace(meshes["single_t"], HYPER, 4, HYPER, 4, (1, 1))
+    coeffs = complete_coefficients(space, rng.uniform(-1, 1, space.dim))
+    built = []
+    table = approx._spline_derivative_table
+    monkeypatch.setattr(approx, "_spline_derivative_table",
+                        lambda *args: built.append(args[-2:]) or table(*args))
+    oracle = SplineOracle(space, coeffs)
+    for cell in space.mesh.cells:
+        s0, t0 = float(cell.x0 + cell.x1) / 2, float(cell.y0 + cell.y1) / 2
+        derivative_table(oracle, 4, 4, s0, t0)
+    assert len(built) == len(space.mesh.cells)

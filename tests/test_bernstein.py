@@ -3,6 +3,7 @@ import pytest
 
 from classical import bernstein_derivative, bernstein_value
 from gentess import (
+    ExpTimesLinear,
     ExpTrig,
     NumericalError,
     PolynomialDegenerate,
@@ -211,3 +212,52 @@ def test_cache_key_includes_tolerance():
             basis_for(gen, 4, 0.0, 1.0)
     finally:
         config.set_rel_tol(before)
+
+
+# -- stacked evaluation ------------------------------------------------------------
+
+STACKED_FAMILIES = {**FAMILIES, "exp_linear": ExpTimesLinear(1.5)}
+
+
+def per_series_derivative(basis, order, s):
+    """eval_all_derivative with one Chebyshev evaluation per function, as the
+    basis computed it before each level became one coefficient matrix."""
+    arr = np.asarray(s, dtype=float)
+    top = basis.levels[basis.n - 1]
+    if order == 0:
+        return np.stack([np.asarray(f(arr), dtype=float) for f in top.series])
+    n = basis.n
+    k = n - 1
+    w = np.eye(n)
+    remaining = order
+    while remaining > 0 and k > 1:
+        d = basis.levels[k - 1].weights
+        w = (w[:, 1:] - w[:, :-1]) / d[np.newaxis, :]
+        k -= 1
+        remaining -= 1
+    level = basis.levels[k]
+    if remaining == 0:
+        vals = np.stack([np.asarray(f(arr), dtype=float) for f in level.series])
+    else:
+        f0, f1 = level.base
+        vals = np.stack([np.asarray(f0.deriv(remaining, arr), dtype=float),
+                         np.asarray(f1.deriv(remaining, arr), dtype=float)])
+    return w @ vals
+
+
+@pytest.mark.parametrize("name", STACKED_FAMILIES, ids=str)
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_stacked_evaluation_matches_per_series(name, n):
+    a, b = interval_for(name)
+    basis = build_basis(make_section_space(STACKED_FAMILIES[name], n, a, b))
+    pts = np.linspace(a, b, 37)
+    for k, level in basis.levels.items():
+        np.testing.assert_array_equal(basis._eval_level(k, pts),
+                                      np.stack([f(pts) for f in level.series]))
+    for s in (pts, pts[[5]], pts[7]):
+        for order in range(n + 2):
+            got = basis.eval_all_derivative(order, s)
+            assert got.shape == (n,) + np.shape(s)
+            np.testing.assert_array_equal(got, per_series_derivative(basis, order, s))
+    grid = pts.reshape(37, 1)
+    np.testing.assert_array_equal(basis.eval_all(grid), per_series_derivative(basis, 0, grid))

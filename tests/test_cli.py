@@ -199,10 +199,15 @@ def test_deterministic_output(mesh_file, tmp_path):
     (("cells", 0, 1), 1e308, [], None),
     (("cells", 0, 1), "1e400", [], None),
     (("cells", 0, 1), 10 ** 400, [], None),
+    (("cells", 0, 1), "1e1000000", [], None),
+    (("cells", 0, 1), "1e-1000000", [], None),
+    (("cells", 0, 1), "1e10000000", [], None),
 ], ids=["n-null", "n-string", "n-list", "smoothness-null", "smoothness-string",
         "coordinate-nan", "coordinate-infinity", "env-tol-abc", "tol-negative",
         "tol-zero", "cells-number", "cell-null", "kind-list", "power-exponent-string",
-        "coordinate-huge", "coordinate-string-overflow", "coordinate-int-overflow"])
+        "coordinate-huge", "coordinate-string-overflow", "coordinate-int-overflow",
+        "coordinate-exponent-huge", "coordinate-exponent-tiny",
+        "coordinate-exponent-8-digits"])
 def test_bad_inputs_exit_1_without_traceback(tmp_path, capsys, monkeypatch,
                                              where, value, flags, env_tol):
     from gentess import config

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gentess import (
     ExpTimesLinear,
@@ -15,6 +17,7 @@ from gentess import (
     make_section_space,
     top_pair_determinant,
 )
+from gentess.util import count_zero_sites
 
 ODE_FAMILIES = [TwoExponentials(1, -1), TwoExponentials(2, 3),
                 ExpTimesLinear(1.0), ExpTrig(1, 1)]
@@ -116,3 +119,50 @@ def test_dimension_flag_well_conditioned_on_shifted_intervals():
     # monomial conditioning must not produce false negatives away from zero
     sp = make_section_space(TwoExponentials(1, -1), 5, 100.0, 101.0)
     assert sp.dim_ok
+
+
+# -- zero-site counting ---------------------------------------------------------------
+
+
+def count_zero_sites_loop(values, tol):
+    """The sample-by-sample count that the array version replaced."""
+    near = np.abs(values) <= tol
+    sites = 0
+    in_run = False
+    prev_sign = 0
+    for v, nz in zip(values, near):
+        if nz:
+            if not in_run:
+                sites += 1
+                in_run = True
+            continue
+        sign = 1 if v > 0 else -1
+        if not in_run and prev_sign != 0 and sign != prev_sign:
+            sites += 1
+        in_run = False
+        prev_sign = sign
+    return sites
+
+
+@pytest.mark.parametrize("values, tol, sites", [
+    ([0.0, 0.0, 1.0, 2.0], 0.0, 1),        # run at the start
+    ([1.0, -1.0, 0.0, 0.0], 0.0, 2),       # flip, then a run at the end
+    ([1.0, 1e-12, -1.0], 1e-9, 1),         # a run between opposite signs
+    ([1.0, 1e-12, 1.0, -0.0, 2.0], 1e-9, 2),
+    ([-1.0, 2.0, -3.0, 4.0], 0.5, 3),
+    ([], 1e-9, 0),
+])
+def test_count_zero_sites_cases(values, tol, sites):
+    values = np.array(values)
+    assert count_zero_sites(values, tol) == sites == count_zero_sites_loop(values, tol)
+
+
+_SAMPLES = st.one_of(st.sampled_from([0.0, -0.0, 1e-10, -1e-10, 1e-9, 1.0, -1.0, 2.5]),
+                     st.floats(-3, 3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=st.lists(_SAMPLES, max_size=40), tol=st.sampled_from([0.0, 1e-9, 0.5]))
+def test_count_zero_sites_matches_loop(values, tol):
+    values = np.array(values, dtype=float)
+    assert count_zero_sites(values, tol) == count_zero_sites_loop(values, tol)

@@ -15,7 +15,7 @@ from gentess import (
     refine,
     tensor_mesh,
 )
-from gentess.tmesh import BOUNDARY, CROSSING, T_JUNCTION, MeshDocument
+from gentess.tmesh import BOUNDARY, CROSSING, T_JUNCTION, MeshDocument, to_fraction
 
 
 def test_tensor_grid_structure(meshes):
@@ -151,6 +151,25 @@ def test_exact_rational_coordinates():
     assert mesh.cells[0].x1 == Fraction(1, 10)
     # the shared line is found exactly despite the non-representable decimal
     assert len(mesh.vertices) == 6
+
+
+@pytest.mark.parametrize("text", ["1e1000000", "1e-1000000", "1e10000000",
+                                  "1E+1_000_000", "0.5e" + "9" * 5000])
+def test_huge_decimal_exponent_rejected_at_once(text):
+    # building 10**exponent first took 0.3 s for seven digits, 12 s for eight
+    import time
+
+    start = time.perf_counter()
+    with pytest.raises(ValidationError):
+        to_fraction(text)
+    assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize("text, value", [("1e-400", Fraction(1, 10 ** 400)),
+                                         ("2.5E+3", Fraction(2500)),
+                                         ("0.001e300", Fraction(10 ** 297))])
+def test_exponents_within_reach_of_the_double_range_stay_exact(text, value):
+    assert to_fraction(text) == value
 
 
 def test_document_round_trip(tmp_path):
